@@ -53,6 +53,17 @@ impl SignalGraphBuilder {
         Self::default()
     }
 
+    /// Creates an empty builder with room for `events` events and `arcs`
+    /// arcs.
+    pub fn with_capacity(events: usize, arcs: usize) -> Self {
+        SignalGraphBuilder {
+            events: Vec::with_capacity(events),
+            arcs: Vec::with_capacity(arcs),
+            by_label: HashMap::with_capacity(events),
+            errors: Vec::new(),
+        }
+    }
+
     fn add_event(&mut self, label: EventLabel, kind: EventKind) -> EventId {
         let id = EventId(self.events.len() as u32);
         let key = label.to_string();

@@ -10,6 +10,10 @@
 //! * [`torus()`](torus::torus) — 2-D torus marked graphs with a closed-form cycle time,
 //! * [`random_live_tsg`] — seeded random live, strongly connected,
 //!   initially safe graphs for property tests and sweeps.
+//!
+//! Every repetitive event is labelled as a signal transition (`v3+`,
+//! `x0_1+`, `r2-`, `env+`), so every generated graph without a prefix can
+//! be written as `.g` text and fed to the `tsg` binary.
 
 pub mod pipeline;
 pub mod random;

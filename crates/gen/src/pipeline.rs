@@ -88,8 +88,8 @@ pub fn handshake_pipeline(stages: usize, cfg: PipelineConfig) -> SignalGraph {
     }
     // Environment: output of the last stage feeds a sink/source pair that
     // restarts the first stage.
-    let out = b.event("out");
-    let inp = b.event("in");
+    let out = b.event("env+");
+    let inp = b.event("env-");
     b.arc(built[stages - 1].ap, out, cfg.coupling_delay);
     b.arc(out, inp, cfg.coupling_delay);
     b.marked_arc(inp, built[0].rp, cfg.coupling_delay);

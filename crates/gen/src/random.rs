@@ -70,7 +70,7 @@ pub fn random_live_tsg(seed: u64, config: RandomTsgConfig) -> SignalGraph {
     let mut rng = SmallRng::seed_from_u64(seed);
     let n = config.events;
     let mut b = SignalGraph::builder();
-    let events: Vec<_> = (0..n).map(|i| b.event(&format!("v{i}"))).collect();
+    let events: Vec<_> = (0..n).map(|i| b.event(&format!("v{i}+"))).collect();
 
     let delay = |rng: &mut SmallRng| rng.gen_range(0..=config.max_delay) as f64;
 

@@ -28,7 +28,7 @@ pub fn ring(n: usize, tokens: usize, delay: f64) -> SignalGraph {
     assert!(tokens > 0, "a live ring needs at least one token");
     assert!(tokens <= n, "at most one token per arc (initial safety)");
     let mut b = SignalGraph::builder();
-    let events: Vec<_> = (0..n).map(|i| b.event(&format!("v{i}"))).collect();
+    let events: Vec<_> = (0..n).map(|i| b.event(&format!("v{i}+"))).collect();
     // Token on arc i -> i+1 when the segment index advances.
     for i in 0..n {
         let next = (i + 1) % n;

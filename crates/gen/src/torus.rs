@@ -34,7 +34,7 @@ pub fn torus(h: usize, w: usize, d_row: f64, d_col: f64) -> SignalGraph {
     let mut cells = Vec::with_capacity(h * w);
     for r in 0..h {
         for c in 0..w {
-            cells.push(b.event(&format!("x{r}_{c}")));
+            cells.push(b.event(&format!("x{r}_{c}+")));
         }
     }
     let at = |r: usize, c: usize| cells[r * w + c];

@@ -15,6 +15,20 @@
 //! arc, plus a default delay for unannotated arcs. The writer emits the
 //! same dialect, so `parse → write → parse` round-trips.
 //!
+//! A `.delay` line or `.marking` token names its arc by its two
+//! transitions, and must come after that arc's `.graph` line. When a pair
+//! has parallel arcs, the k-th `.delay` entry for the pair sets the delay
+//! of its k-th declared arc and the k-th `.marking` entry marks it; entries
+//! beyond the last arc apply to the last arc (so a repeated `.delay` on a
+//! single arc lets the last line win). The writer emits one entry per
+//! arc in arc order, so parallel arcs keep their own delays and tokens;
+//! only a pair whose first arc is unmarked and a later one marked cannot
+//! be expressed.
+//!
+//! Parsing is one pass, linear in the size of the text: transitions are
+//! interned to event indices once, and entries find their arc through an
+//! index on the arc's endpoints.
+//!
 //! ```
 //! use tsg_stg::{parse_stg, StgOptions};
 //!

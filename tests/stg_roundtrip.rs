@@ -4,6 +4,7 @@ use proptest::prelude::*;
 
 use tsg::core::analysis::CycleTimeAnalysis;
 use tsg::core::SignalGraph;
+use tsg::gen::{random_live_tsg, RandomTsgConfig};
 use tsg::stg::{parse_stg, write_stg, StgOptions};
 
 /// Builds a polarity-labelled ring of `n` signals (each contributing a
@@ -26,6 +27,39 @@ fn transition_ring(n: usize, tokens: usize, delay: f64) -> SignalGraph {
         }
     }
     b.build().unwrap()
+}
+
+/// Every arc as `(src, dst, delay, marked)`, grouped by source label.
+///
+/// `write_stg` lists arcs by source event, so `parse_stg` reads them back
+/// in that order; the stable sort keeps each source's own arc order,
+/// parallel arcs included.
+fn arc_sequence(sg: &SignalGraph) -> Vec<(String, String, f64, bool)> {
+    let mut arcs: Vec<_> = sg
+        .arc_ids()
+        .map(|a| {
+            let arc = sg.arc(a);
+            (
+                sg.label(arc.src()).to_string(),
+                sg.label(arc.dst()).to_string(),
+                arc.delay().get(),
+                arc.is_marked(),
+            )
+        })
+        .collect();
+    arcs.sort_by(|x, y| x.0.cmp(&y.0));
+    arcs
+}
+
+/// `parse_stg(write_stg(sg))` keeps every arc, parallel arcs' own delays
+/// and tokens included, and the cycle time.
+fn assert_roundtrip(sg: &SignalGraph) {
+    let text = write_stg(sg, "family").unwrap();
+    let back = parse_stg(&text, StgOptions::default()).unwrap();
+    prop_assert_eq!(arc_sequence(&back), arc_sequence(sg));
+    let t1 = CycleTimeAnalysis::run(sg).unwrap().cycle_time();
+    let t2 = CycleTimeAnalysis::run(&back).unwrap().cycle_time();
+    prop_assert_eq!(t1.as_f64(), t2.as_f64());
 }
 
 proptest! {
@@ -51,36 +85,43 @@ proptest! {
 
     #[test]
     fn handshake_pipelines_roundtrip(stages in 1usize..8) {
-        // Pipeline labels (r0+, a0+, …) carry polarities except the
-        // environment pair; rename those for expressibility.
         let sg = tsg::gen::handshake_pipeline(stages, tsg::gen::PipelineConfig::default());
-        let mut b = SignalGraph::builder();
-        let ids: Vec<_> = sg
-            .events()
-            .map(|e| {
-                let l = sg.label(e).to_string();
-                let fixed = match l.as_str() {
-                    "out" => "env+".to_owned(),
-                    "in" => "env-".to_owned(),
-                    other => other.to_owned(),
-                };
-                b.event(&fixed)
-            })
-            .collect();
-        for a in sg.arc_ids() {
-            let arc = sg.arc(a);
-            let (s, d) = (ids[arc.src().index()], ids[arc.dst().index()]);
-            if arc.is_marked() {
-                b.marked_arc(s, d, arc.delay().get());
-            } else {
-                b.arc(s, d, arc.delay().get());
-            }
-        }
-        let renamed = b.build().unwrap();
-        let text = write_stg(&renamed, "pipeline").unwrap();
-        let back = parse_stg(&text, StgOptions::default()).unwrap();
-        let t1 = CycleTimeAnalysis::run(&renamed).unwrap().cycle_time().as_f64();
-        let t2 = CycleTimeAnalysis::run(&back).unwrap().cycle_time().as_f64();
-        prop_assert_eq!(t1, t2);
+        assert_roundtrip(&sg);
+    }
+
+    #[test]
+    fn ring_family_roundtrips(n in 1usize..40, tokens in 1usize..40, delay in 0u32..9) {
+        let sg = tsg::gen::ring(n, tokens.min(n), f64::from(delay));
+        assert_roundtrip(&sg);
+    }
+
+    #[test]
+    fn torus_family_roundtrips(
+        h in 2usize..6,
+        w in 2usize..6,
+        d_row in 0u32..9,
+        d_col in 0u32..9,
+    ) {
+        let sg = tsg::gen::torus(h, w, f64::from(d_row), f64::from(d_col));
+        assert_roundtrip(&sg);
+    }
+
+    #[test]
+    fn random_family_roundtrips(
+        seed in any::<u64>(),
+        events in 2usize..16,
+        tokens in 1usize..16,
+        chords in 0usize..40,
+    ) {
+        // Few events and many chords: duplicate chords (parallel arcs)
+        // and self-loops are common.
+        let cfg = RandomTsgConfig {
+            events,
+            tokens: tokens.min(events),
+            chords,
+            max_delay: 9,
+            with_prefix: false,
+        };
+        assert_roundtrip(&random_live_tsg(seed, cfg));
     }
 }
