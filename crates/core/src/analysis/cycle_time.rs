@@ -172,6 +172,60 @@ fn reweight_in_place(
     }
 }
 
+/// The per-scenario finish shared by every scenario entry point
+/// ([`CycleTimeAnalysis::run_scenarios_in`],
+/// [`CycleTimeAnalysis::run_scenarios_parallel_on`] and the session's
+/// warm scenario lanes): scenario `j`'s records (the `j`-th item of
+/// `scenario_records`) go through winner selection and the
+/// parent-tracked critical-cycle backtrack on scenario `j`'s
+/// reweighting of `sg`.
+///
+/// `structure` must be built on `sg`'s topology and `scratch` must have
+/// it too; per scenario, `scratch` is reweighted in place and only the
+/// structure's delays are refreshed — one structure per sweep, no
+/// per-scenario topological sort. `structure` is left on `sg`'s nominal
+/// delays.
+pub(crate) fn finish_scenarios(
+    sg: &SignalGraph,
+    set: &ScenarioSet,
+    border: &[EventId],
+    scenario_records: impl IntoIterator<Item = Vec<BorderRecord>>,
+    scratch: &mut SignalGraph,
+    structure: &mut CyclicStructure,
+    finish: &mut SimArena,
+) -> Result<ScenarioAnalysis, AnalysisError> {
+    let labels = (0..set.len()).map(|j| set.label(j).to_string()).collect();
+    let per = scenario_records
+        .into_iter()
+        .enumerate()
+        .map(|(j, records)| {
+            reweight_in_place(scratch, sg, set, j);
+            structure.refresh_delays(scratch);
+            CycleTimeAnalysis::finish(scratch, structure, border.to_vec(), records, finish)
+        })
+        .collect::<Result<Vec<_>, _>>();
+    structure.refresh_delays(sg);
+    Ok(ScenarioAnalysis::new(labels, per?))
+}
+
+/// The border records of the first `scenarios` scenarios swept into
+/// `wide`, scenario-ordered: scenario `j`'s come from lanes `j·b + k`.
+pub(crate) fn scenario_lane_records<'a>(
+    border: &'a [EventId],
+    scenarios: usize,
+    wide: &'a WideArena,
+) -> impl Iterator<Item = Vec<BorderRecord>> + 'a {
+    let bn = border.len();
+    (0..scenarios).map(move |j| {
+        (0..bn)
+            .map(|k| BorderRecord {
+                event: border[k],
+                distances: wide.distance_series(j * bn + k),
+            })
+            .collect()
+    })
+}
+
 /// Flattens per-worker record chunks, preserving chunk order; on
 /// cancellation the reported progress is the *least* advanced worker's
 /// row count (any other halt surfaces as-is).
@@ -560,16 +614,7 @@ impl CycleTimeAnalysis {
             ) {
                 return Err(halt_to_error(halt));
             }
-            for jj in 0..sc {
-                scenario_records.push(
-                    (0..bn)
-                        .map(|k| BorderRecord {
-                            event: border[k],
-                            distances: wide.distance_series(jj * bn + k),
-                        })
-                        .collect(),
-                );
-            }
+            scenario_records.extend(scenario_lane_records(&border, sc, wide));
             j0 += sc;
         }
 
@@ -577,23 +622,15 @@ impl CycleTimeAnalysis {
         // graph; one scratch clone serves every scenario in turn with
         // its delays overwritten in place — s full clones (label
         // strings included) would cost more than the sweep itself.
-        let mut scratch = sg.clone();
-        let labels = (0..s).map(|j| set.label(j).to_string()).collect();
-        let mut per = Vec::with_capacity(s);
-        for (j, records) in scenario_records.into_iter().enumerate() {
-            reweight_in_place(&mut scratch, sg, set, j);
-            // Rebuild per scenario over the same warm buffers: no
-            // allocation after the first.
-            structure.rebuild(&scratch);
-            per.push(Self::finish(
-                &scratch,
-                structure,
-                border.clone(),
-                records,
-                finish,
-            )?);
-        }
-        Ok(ScenarioAnalysis::new(labels, per))
+        finish_scenarios(
+            sg,
+            set,
+            &border,
+            scenario_records,
+            &mut sg.clone(),
+            structure,
+            finish,
+        )
     }
 
     /// [`run_scenarios`](Self::run_scenarios) with the scenario lanes
@@ -621,9 +658,8 @@ impl CycleTimeAnalysis {
         }
         let b = border.len() as u32;
         let s = set.len();
-        let structure = CyclicStructure::new(sg);
+        let mut structure = CyclicStructure::new(sg);
 
-        let bn = border.len();
         let scenario_ids: Vec<usize> = (0..s).collect();
         let chunk = s.div_ceil(runner.threads().max(1)).max(1);
         let chunks: Vec<&[usize]> = scenario_ids.chunks(chunk).collect();
@@ -640,16 +676,7 @@ impl CycleTimeAnalysis {
                     b,
                     cancel,
                 )?;
-                Ok((0..ids.len())
-                    .map(|jj| {
-                        (0..bn)
-                            .map(|k| BorderRecord {
-                                event: border[k],
-                                distances: wide.distance_series(jj * bn + k),
-                            })
-                            .collect()
-                    })
-                    .collect())
+                Ok(scenario_lane_records(&border, ids.len(), wide).collect())
             },
         );
         let mut scenario_records: Vec<Vec<BorderRecord>> = Vec::with_capacity(s);
@@ -673,23 +700,15 @@ impl CycleTimeAnalysis {
             return Err(halt_to_error(Halt::Cancelled(c)));
         }
 
-        let labels = (0..s).map(|j| set.label(j).to_string()).collect();
-        let mut finish = SimArena::new();
-        let mut fin_structure = CyclicStructure::new(sg);
-        let mut scratch = sg.clone();
-        let mut per = Vec::with_capacity(s);
-        for (j, records) in scenario_records.into_iter().enumerate() {
-            reweight_in_place(&mut scratch, sg, set, j);
-            fin_structure.rebuild(&scratch);
-            per.push(Self::finish(
-                &scratch,
-                &fin_structure,
-                border.clone(),
-                records,
-                &mut finish,
-            )?);
-        }
-        Ok(ScenarioAnalysis::new(labels, per))
+        finish_scenarios(
+            sg,
+            set,
+            &border,
+            scenario_records,
+            &mut sg.clone(),
+            &mut structure,
+            &mut SimArena::new(),
+        )
     }
 
     /// Analyzes many graphs in parallel — the many-graph sweep behind
@@ -1121,6 +1140,23 @@ mod tests {
         let second = CycleTimeAnalysis::run_in(&sg, None, &mut arena).unwrap();
         assert_same_analysis(&first, &second, "arena reuse");
         assert_eq!(first.cycle_time().as_f64(), 10.0);
+    }
+
+    #[test]
+    fn scenario_sweep_leaves_the_arena_on_nominal_delays() {
+        use crate::analysis::wide::AnalysisArena;
+        let sg = figure2();
+        let set = ScenarioSet::samples(5, 3, 20.0, sg.arc_count()).unwrap();
+        let mut arena = AnalysisArena::new();
+        CycleTimeAnalysis::run_scenarios_in(&sg, &set, None, &mut arena, None).unwrap();
+        let nominal = CyclicStructure::new(&sg);
+        let delays = |s: &CyclicStructure| -> Vec<u64> {
+            s.entries.iter().map(|e| e.delay.to_bits()).collect()
+        };
+        assert_eq!(delays(&arena.structure), delays(&nominal));
+        let warm = CycleTimeAnalysis::run_in(&sg, None, &mut arena).unwrap();
+        let fresh = CycleTimeAnalysis::run_in(&sg, None, &mut AnalysisArena::new()).unwrap();
+        assert_same_analysis(&fresh, &warm, "run_in after a scenario sweep");
     }
 
     #[test]

@@ -407,22 +407,32 @@ impl ScenarioAnalysis {
 
     /// Per-arc criticality: for every arc on at least one scenario's
     /// critical cycle, the fraction of scenarios whose critical cycle
-    /// contains it — sorted most-critical first (ties by arc index).
+    /// contains it — sorted most-critical first, ties broken by
+    /// ascending arc index.
+    ///
+    /// Counts go into a dense per-arc-slot table and only the `K`
+    /// distinct critical arcs are sorted: `O(Σ|cycle| + K log K)` over
+    /// the scenarios' critical cycles.
     pub fn criticality(&self) -> Vec<(ArcId, f64)> {
-        let mut counts: Vec<(ArcId, usize)> = Vec::new();
+        let mut counts: Vec<u32> = Vec::new();
+        let mut distinct: Vec<ArcId> = Vec::new();
         for a in &self.per {
             for &arc in a.critical_cycle() {
-                match counts.iter_mut().find(|(x, _)| *x == arc) {
-                    Some((_, c)) => *c += 1,
-                    None => counts.push((arc, 1)),
+                let slot = arc.index();
+                if slot >= counts.len() {
+                    counts.resize(slot + 1, 0);
                 }
+                if counts[slot] == 0 {
+                    distinct.push(arc);
+                }
+                counts[slot] += 1;
             }
         }
-        counts.sort_by_key(|&(arc, c)| (std::cmp::Reverse(c), arc.index()));
+        distinct.sort_unstable_by_key(|&arc| (std::cmp::Reverse(counts[arc.index()]), arc.index()));
         let s = self.len() as f64;
-        counts
+        distinct
             .into_iter()
-            .map(|(arc, c)| (arc, c as f64 / s))
+            .map(|arc| (arc, counts[arc.index()] as f64 / s))
             .collect()
     }
 }

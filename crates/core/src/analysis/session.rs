@@ -85,7 +85,10 @@ use std::fmt;
 
 use tsg_sim::{CancelKind, CancelToken};
 
-use crate::analysis::cycle_time::{halt_to_error, AnalysisError, BorderRecord, CycleTimeAnalysis};
+use crate::analysis::cycle_time::{
+    finish_scenarios, halt_to_error, scenario_lane_records, AnalysisError, BorderRecord,
+    CycleTimeAnalysis,
+};
 use crate::analysis::initiated::SimArena;
 use crate::analysis::scenario::{ScenarioAnalysis, ScenarioSet};
 use crate::analysis::structure::CyclicStructure;
@@ -309,24 +312,21 @@ pub struct AnalysisSession {
 
 /// The session's warm scenario-lane state: one `b × s` wide arena whose
 /// lanes mirror the nominal matrices under each scenario's reweighted
-/// delays, kept in lockstep with the nominal arena by the same dirty-row
-/// resumes. The two staleness flags let a cancelled pass heal later:
-/// `stale_weights` marks the reweighted graphs / δ table out of sync
+/// delays (`nominal × factor`, the products [`ScenarioSet::reweighted`]
+/// stores), kept in lockstep with the nominal arena by the same
+/// dirty-row resumes. The two staleness flags let a cancelled pass heal
+/// later: `stale_weights` marks the scratch graph / δ table out of sync
 /// with the session graph (structural batch committed but not yet
 /// resynced), `needs_reseed` marks the whole lane matrix stale (border
 /// set or event axis changed).
 #[derive(Clone, Debug)]
 struct ScenarioState {
     set: ScenarioSet,
-    /// Per-scenario reweighted graphs — the canonical delay source for
-    /// both the δ table and the per-scenario winner re-runs.
-    reweighted: Vec<SignalGraph>,
+    /// A copy of the session graph that the per-scenario winner re-runs
+    /// reweight in place, one scenario at a time.
+    scratch: SignalGraph,
     /// All `b × s` scenario matrices, lane `j·b + k`.
     wide: WideArena,
-    /// Arena the per-scenario winner re-runs use.
-    finish: SimArena,
-    /// Scratch structure rebuilt per reweighted graph for the re-runs.
-    structure: CyclicStructure,
     analysis: ScenarioAnalysis,
     /// First scenario-matrix row a cancelled pass left stale.
     dirty_from: Option<usize>,
@@ -568,21 +568,16 @@ impl AnalysisSession {
             // Arcs outside the cyclic structure (prefix/disengageable)
             // never feed a border simulation: delay applied, zero dirty.
 
-            // Keep the scenario lanes' delay sources in lockstep: each
-            // reweighted graph takes the scaled edit and the warm δ
-            // table folds it in place, so the scenario matrices resume
-            // from the same min dirty row as the nominal one. (A stale
-            // scenario state resyncs wholesale in `refresh_scenarios`.)
+            // Keep the scenario lanes in lockstep: the warm δ table
+            // folds each scenario's scaled edit in place, so the scenario
+            // matrices resume from the same min dirty row as the nominal
+            // one. (A stale scenario state resyncs wholesale in
+            // `refresh_scenarios`.)
             if let Some(scen) = self.scenarios.as_mut() {
-                if !scen.stale_weights && !scen.needs_reseed {
+                if slot != NO_ENTRY && !scen.stale_weights && !scen.needs_reseed {
                     for j in 0..scen.set.len() {
                         let scaled = e.delay * scen.set.factor(j, e.arc);
-                        scen.reweighted[j]
-                            .set_delay(e.arc, scaled)
-                            .expect("scaled delay stays finite and non-negative");
-                        if slot != NO_ENTRY {
-                            scen.wide.set_scenario_delay(slot as usize, j, scaled);
-                        }
+                        scen.wide.set_scenario_delay(slot as usize, j, scaled);
                     }
                 }
             }
@@ -743,7 +738,7 @@ impl AnalysisSession {
         }
 
         // The batch re-flattened the in-arc table and may have changed
-        // the arc set, so the scenario reweighted graphs and the δ table
+        // the arc set, so the scenario scratch graph and the δ table
         // are stale until `refresh_scenarios` resyncs them. Flagged
         // before the cancellable resume so an abort heals later.
         if let Some(scen) = self.scenarios.as_mut() {
@@ -907,7 +902,7 @@ impl AnalysisSession {
     /// from then on every edit batch keeps the scenario lanes warm —
     /// delay edits fold the scaled delays into the δ table and resume
     /// all scenario lanes from the same min dirty row as the nominal
-    /// matrix; structural edits resync the reweighted graphs (reseeding
+    /// matrix; structural edits resync the scenario δ table (reseeding
     /// only when the border set or event axis changed). The produced
     /// [`ScenarioAnalysis`] is bit-identical to
     /// [`CycleTimeAnalysis::run_scenarios`] on
@@ -941,36 +936,34 @@ impl AnalysisSession {
         cancel: Option<&CancelToken>,
     ) -> Result<&ScenarioAnalysis, AnalysisError> {
         let set = set.resized(self.sg.arc_count());
-        let s = set.len();
-        let reweighted: Vec<SignalGraph> = (0..s).map(|j| set.reweighted(&self.sg, j)).collect();
         let mut wide = WideArena::with_kernel(self.wide.kernel());
+        let sg = &self.sg;
         if let Err(halt) = wide.run_scenarios_with(
-            &self.sg,
+            sg,
             &self.structure,
             &self.border,
-            s,
-            |arc, j| reweighted[j].arc(arc).delay().get(),
+            set.len(),
+            |arc, j| sg.arc(arc).delay().get() * set.factor(j, arc),
             self.b,
             cancel,
         ) {
             return Err(halt_to_error(halt));
         }
-        let mut structure = CyclicStructure::new(&self.sg);
-        let mut finish = SimArena::new();
+        let mut scratch = sg.clone();
         let analysis = finish_scenarios(
-            &self.border,
+            sg,
             &set,
-            &reweighted,
-            &wide,
-            &mut structure,
-            &mut finish,
-        );
+            &self.border,
+            scenario_lane_records(&self.border, set.len(), &wide),
+            &mut scratch,
+            &mut self.structure,
+            &mut self.finish_arena,
+        )
+        .expect("border set verified non-empty");
         self.scenarios = Some(ScenarioState {
             set,
-            reweighted,
+            scratch,
             wide,
-            finish,
-            structure,
             analysis,
             dirty_from: None,
             stale_weights: false,
@@ -1005,7 +998,7 @@ impl AnalysisSession {
 
     /// Brings the scenario state back in sync with the session graph
     /// after an edit batch (or heals a cancelled earlier pass): resyncs
-    /// stale reweighted graphs / δ tables, reseeds or resumes the lane
+    /// a stale scratch graph / δ table, reseeds or resumes the lane
     /// matrices from the recorded dirty row, and re-runs every
     /// scenario's winner selection. No-op when scenarios are disabled.
     fn refresh_scenarios(&mut self, cancel: Option<&CancelToken>) -> Result<(), EditError> {
@@ -1013,38 +1006,29 @@ impl AnalysisSession {
         let Some(scen) = self.scenarios.as_mut() else {
             return Ok(());
         };
+        let sg = &self.sg;
         if scen.stale_weights {
-            scen.set = scen.set.resized(self.sg.arc_count());
-            let reweighted: Vec<SignalGraph> = (0..scen.set.len())
-                .map(|j| scen.set.reweighted(&self.sg, j))
-                .collect();
-            scen.reweighted = reweighted;
+            scen.set = scen.set.resized(sg.arc_count());
+            scen.scratch.clone_from(sg);
             if !scen.needs_reseed {
                 // Slots remapped but the lane axis survived: re-derive
                 // the δ table in place, the matrices resume below.
-                let ScenarioState {
-                    reweighted, wide, ..
-                } = scen;
+                let ScenarioState { set, wide, .. } = scen;
                 wide.rebuild_scenario_deltas(&self.structure, |arc, j| {
-                    reweighted[j].arc(arc).delay().get()
+                    sg.arc(arc).delay().get() * set.factor(j, arc)
                 });
             }
             scen.stale_weights = false;
         }
         if scen.needs_reseed {
             scen.needs_reseed = false;
-            let ScenarioState {
-                set,
-                reweighted,
-                wide,
-                ..
-            } = scen;
+            let ScenarioState { set, wide, .. } = scen;
             match wide.run_scenarios_with(
-                &self.sg,
+                sg,
                 &self.structure,
                 &self.border,
                 set.len(),
-                |arc, j| reweighted[j].arc(arc).delay().get(),
+                |arc, j| sg.arc(arc).delay().get() * set.factor(j, arc),
                 self.b,
                 cancel,
             ) {
@@ -1080,18 +1064,18 @@ impl AnalysisSession {
             }
             scen.dirty_from = None;
         }
-        // Winner selection re-runs on the reweighted graphs every
+        // Winner selection re-runs on the reweighted delays every
         // batch, mirroring the nominal `refinish`.
-        let ScenarioState {
-            set,
-            reweighted,
-            wide,
-            finish,
-            structure,
-            analysis,
-            ..
-        } = scen;
-        *analysis = finish_scenarios(&self.border, set, reweighted, wide, structure, finish);
+        scen.analysis = finish_scenarios(
+            sg,
+            &scen.set,
+            &self.border,
+            scenario_lane_records(&self.border, scen.set.len(), &scen.wide),
+            &mut scen.scratch,
+            &mut self.structure,
+            &mut self.finish_arena,
+        )
+        .expect("border set verified non-empty");
         Ok(())
     }
 
@@ -1141,38 +1125,6 @@ impl AnalysisSession {
 #[derive(Clone, Debug)]
 pub struct SessionSnapshot {
     state: Box<AnalysisSession>,
-}
-
-/// Collects each scenario's records from its `b` lanes (lane `j·b + k`)
-/// and re-runs winner selection + critical-cycle backtracking on the
-/// scenario's reweighted graph — the same finish a from-scratch
-/// [`CycleTimeAnalysis::run_scenarios`] performs, so the session's
-/// scenario analyses stay bit-identical to scratch.
-fn finish_scenarios(
-    border: &[EventId],
-    set: &ScenarioSet,
-    reweighted: &[SignalGraph],
-    wide: &WideArena,
-    structure: &mut CyclicStructure,
-    finish: &mut SimArena,
-) -> ScenarioAnalysis {
-    let bn = border.len();
-    let labels: Vec<String> = (0..set.len()).map(|j| set.label(j).to_string()).collect();
-    let mut per = Vec::with_capacity(set.len());
-    for (j, rg) in reweighted.iter().enumerate() {
-        let records: Vec<BorderRecord> = (0..bn)
-            .map(|k| BorderRecord {
-                event: border[k],
-                distances: wide.distance_series(j * bn + k),
-            })
-            .collect();
-        structure.rebuild(rg);
-        per.push(
-            CycleTimeAnalysis::finish(rg, structure, border.to_vec(), records, finish)
-                .expect("border set verified non-empty"),
-        );
-    }
-    ScenarioAnalysis::new(labels, per)
 }
 
 /// 0-1 BFS over the cyclic structure's arc set, backwards: `dist[e]`

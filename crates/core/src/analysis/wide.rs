@@ -1385,7 +1385,8 @@ pub struct AnalysisArena {
     pub(crate) wide: WideArena,
     pub(crate) finish: SimArena,
     /// The shared evaluation structure, rebuilt in place per analysed
-    /// graph (buffer-reusing; see [`CyclicStructure::rebuild`]).
+    /// graph (buffer-reusing; see [`CyclicStructure::rebuild`]) and left
+    /// on the graph's nominal delays after a scenario sweep.
     pub(crate) structure: CyclicStructure,
 }
 

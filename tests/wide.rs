@@ -30,10 +30,12 @@
 //! per-scenario reweighted graph — across every generator family,
 //! every backend, odd `b × s` remainder shapes, and any thread count.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use tsg::core::analysis::session::AnalysisSession;
 use tsg::core::analysis::wide::AnalysisArena;
-use tsg::core::analysis::{Corner, CycleTimeAnalysis, ScenarioSet};
+use tsg::core::analysis::{Corner, CycleTimeAnalysis, ScenarioAnalysis, ScenarioSet};
 use tsg::core::{ArcId, SignalGraph};
 use tsg::gen::{handshake_pipeline, random_live_tsg, ring, torus, PipelineConfig, RandomTsgConfig};
 use tsg::sim::BatchRunner;
@@ -54,6 +56,32 @@ fn scenario_set(sg: &SignalGraph, pick: u64) -> ScenarioSet {
     } else {
         let count = 1 + (pick / 2 % 5) as usize;
         ScenarioSet::samples(count, pick, 10.0, slots).expect("non-zero sample count")
+    }
+}
+
+/// `sweep.criticality()` against a naive ordered-map count over every
+/// scenario's critical cycle: the same arcs, in descending count then
+/// ascending arc index, with bit-equal probabilities.
+fn assert_criticality_matches_naive(sweep: &ScenarioAnalysis, ctx: &str) {
+    let mut counts: BTreeMap<ArcId, usize> = BTreeMap::new();
+    for a in sweep.analyses() {
+        for &arc in a.critical_cycle() {
+            *counts.entry(arc).or_default() += 1;
+        }
+    }
+    let mut want: Vec<(ArcId, usize)> = counts.into_iter().collect();
+    want.sort_by(|x, y| y.1.cmp(&x.1).then(x.0.index().cmp(&y.0.index())));
+    let got = sweep.criticality();
+    let got_arcs: Vec<ArcId> = got.iter().map(|&(a, _)| a).collect();
+    let want_arcs: Vec<ArcId> = want.iter().map(|&(a, _)| a).collect();
+    assert_eq!(got_arcs, want_arcs, "{ctx}: critical arcs and their order");
+    for (&(arc, p), &(_, c)) in got.iter().zip(&want) {
+        assert_eq!(
+            p.to_bits(),
+            (c as f64 / sweep.len() as f64).to_bits(),
+            "{ctx}: probability of arc {}",
+            arc.index()
+        );
     }
 }
 
@@ -241,6 +269,37 @@ proptest! {
         let sg = graph(family, seed);
         let set = scenario_set(&sg, pick);
         assert_scenarios_match_scalar(&sg, &set, &format!("family {family} seed {seed} pick {pick}"));
+    }
+
+    /// Dense criticality counting ≡ a naive per-arc map count, on every
+    /// family and on session graphs after structural edits, whose
+    /// tombstoned slots put critical arc indices above the live count.
+    #[test]
+    fn criticality_matches_a_naive_count(
+        family in 0usize..4,
+        seed in 0u64..10_000,
+        pick in 0u64..1_000,
+        batches in 1usize..6,
+    ) {
+        let sg = graph(family, seed);
+        let set = scenario_set(&sg, pick);
+        let ctx = format!("family {family} seed {seed} pick {pick}");
+        let sweep = CycleTimeAnalysis::run_scenarios(&sg, &set).expect("live");
+        assert_criticality_matches_naive(&sweep, &ctx);
+
+        let mut session = AnalysisSession::open(sg.clone()).expect("live");
+        session.enable_scenarios(&set).expect("live");
+        for batch in structural_edit_script(&sg, batches) {
+            session.edit_structure(&batch).unwrap();
+        }
+        let edited = session.graph();
+        prop_assert!(edited.arc_ids().any(|a| !edited.is_live_arc(a)));
+        let warm = session.scenario_analysis().expect("scenarios enabled");
+        assert_criticality_matches_naive(warm, &format!("{ctx} after {batches} batches"));
+        let scratch = CycleTimeAnalysis::run_scenarios(edited, session.scenario_set().unwrap())
+            .expect("stays live");
+        assert_criticality_matches_naive(&scratch, &format!("{ctx} scratch"));
+        prop_assert_eq!(warm.criticality(), scratch.criticality());
     }
 
     /// Odd `b × s` lane products force the masked remainder paths of
