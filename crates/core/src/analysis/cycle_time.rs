@@ -180,28 +180,30 @@ fn reweight_in_place(
 /// parent-tracked critical-cycle backtrack on scenario `j`'s
 /// reweighting of `sg`.
 ///
-/// `structure` must be built on `sg`'s topology and `scratch` must have
-/// it too; per scenario, `scratch` is reweighted in place and only the
-/// structure's delays are refreshed — one structure per sweep, no
-/// per-scenario topological sort. `structure` is left on `sg`'s nominal
-/// delays.
+/// `structure` must be built on `sg`. The parent-tracked re-run reads
+/// a real graph, so one scratch clone of `sg` serves every scenario in
+/// turn with its delays overwritten in place (a clone per scenario,
+/// label strings included, would cost more than the sweep itself), and
+/// only the structure's delays are refreshed — one structure per sweep,
+/// no per-scenario topological sort. `structure` is left on `sg`'s
+/// nominal delays.
 pub(crate) fn finish_scenarios(
     sg: &SignalGraph,
     set: &ScenarioSet,
     border: &[EventId],
     scenario_records: impl IntoIterator<Item = Vec<BorderRecord>>,
-    scratch: &mut SignalGraph,
     structure: &mut CyclicStructure,
     finish: &mut SimArena,
 ) -> Result<ScenarioAnalysis, AnalysisError> {
+    let mut scratch = sg.clone();
     let labels = (0..set.len()).map(|j| set.label(j).to_string()).collect();
     let per = scenario_records
         .into_iter()
         .enumerate()
         .map(|(j, records)| {
-            reweight_in_place(scratch, sg, set, j);
-            structure.refresh_delays(scratch);
-            CycleTimeAnalysis::finish(scratch, structure, border.to_vec(), records, finish)
+            reweight_in_place(&mut scratch, sg, set, j);
+            structure.refresh_delays(&scratch);
+            CycleTimeAnalysis::finish(&scratch, structure, border.to_vec(), records, finish)
         })
         .collect::<Result<Vec<_>, _>>();
     structure.refresh_delays(sg);
@@ -618,19 +620,7 @@ impl CycleTimeAnalysis {
             j0 += sc;
         }
 
-        // The finish step's parent-tracked winner re-run reads a real
-        // graph; one scratch clone serves every scenario in turn with
-        // its delays overwritten in place — s full clones (label
-        // strings included) would cost more than the sweep itself.
-        finish_scenarios(
-            sg,
-            set,
-            &border,
-            scenario_records,
-            &mut sg.clone(),
-            structure,
-            finish,
-        )
+        finish_scenarios(sg, set, &border, scenario_records, structure, finish)
     }
 
     /// [`run_scenarios`](Self::run_scenarios) with the scenario lanes
@@ -705,7 +695,6 @@ impl CycleTimeAnalysis {
             set,
             &border,
             scenario_records,
-            &mut sg.clone(),
             &mut structure,
             &mut SimArena::new(),
         )

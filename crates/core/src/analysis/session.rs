@@ -315,16 +315,13 @@ pub struct AnalysisSession {
 /// delays (`nominal × factor`, the products [`ScenarioSet::reweighted`]
 /// stores), kept in lockstep with the nominal arena by the same
 /// dirty-row resumes. The two staleness flags let a cancelled pass heal
-/// later: `stale_weights` marks the scratch graph / δ table out of sync
+/// later: `stale_weights` marks the scenario set / δ table out of sync
 /// with the session graph (structural batch committed but not yet
 /// resynced), `needs_reseed` marks the whole lane matrix stale (border
 /// set or event axis changed).
 #[derive(Clone, Debug)]
 struct ScenarioState {
     set: ScenarioSet,
-    /// A copy of the session graph that the per-scenario winner re-runs
-    /// reweight in place, one scenario at a time.
-    scratch: SignalGraph,
     /// All `b × s` scenario matrices, lane `j·b + k`.
     wide: WideArena,
     analysis: ScenarioAnalysis,
@@ -738,9 +735,9 @@ impl AnalysisSession {
         }
 
         // The batch re-flattened the in-arc table and may have changed
-        // the arc set, so the scenario scratch graph and the δ table
-        // are stale until `refresh_scenarios` resyncs them. Flagged
-        // before the cancellable resume so an abort heals later.
+        // the arc set, so the scenario set and δ table are stale until
+        // `refresh_scenarios` resyncs them. Flagged before the
+        // cancellable resume so an abort heals later.
         if let Some(scen) = self.scenarios.as_mut() {
             scen.stale_weights = true;
         }
@@ -949,20 +946,17 @@ impl AnalysisSession {
         ) {
             return Err(halt_to_error(halt));
         }
-        let mut scratch = sg.clone();
         let analysis = finish_scenarios(
             sg,
             &set,
             &self.border,
             scenario_lane_records(&self.border, set.len(), &wide),
-            &mut scratch,
             &mut self.structure,
             &mut self.finish_arena,
         )
         .expect("border set verified non-empty");
         self.scenarios = Some(ScenarioState {
             set,
-            scratch,
             wide,
             analysis,
             dirty_from: None,
@@ -998,7 +992,7 @@ impl AnalysisSession {
 
     /// Brings the scenario state back in sync with the session graph
     /// after an edit batch (or heals a cancelled earlier pass): resyncs
-    /// a stale scratch graph / δ table, reseeds or resumes the lane
+    /// a stale scenario set / δ table, reseeds or resumes the lane
     /// matrices from the recorded dirty row, and re-runs every
     /// scenario's winner selection. No-op when scenarios are disabled.
     fn refresh_scenarios(&mut self, cancel: Option<&CancelToken>) -> Result<(), EditError> {
@@ -1009,7 +1003,6 @@ impl AnalysisSession {
         let sg = &self.sg;
         if scen.stale_weights {
             scen.set = scen.set.resized(sg.arc_count());
-            scen.scratch.clone_from(sg);
             if !scen.needs_reseed {
                 // Slots remapped but the lane axis survived: re-derive
                 // the δ table in place, the matrices resume below.
@@ -1071,7 +1064,6 @@ impl AnalysisSession {
             &scen.set,
             &self.border,
             scenario_lane_records(&self.border, scen.set.len(), &scen.wide),
-            &mut scen.scratch,
             &mut self.structure,
             &mut self.finish_arena,
         )
