@@ -14,6 +14,7 @@
 //! served responses are byte-identical to one-shot invocations.
 
 use std::fmt::Write as _;
+use std::io::{self, Write as _};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -150,17 +151,29 @@ ready-made hostile-load harness.
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(out) => {
-            print!("{out}");
-            ExitCode::SUCCESS
-        }
+    match run(&args).and_then(|out| emit(&out)) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Writes a command's output to stdout. A reader that closed the pipe
+/// early (`tsg analyze FILE | head`) has everything it asked for, so a
+/// broken pipe ends the write quietly instead of panicking like
+/// `print!`.
+fn emit(out: &str) -> Result<(), String> {
+    let mut stdout = io::stdout().lock();
+    match stdout
+        .write_all(out.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => Err(format!("writing output: {e}")),
+        _ => Ok(()),
     }
 }
 
@@ -351,7 +364,7 @@ fn run(args: &[String]) -> Result<String, String> {
             if failed.is_empty() {
                 Ok(out)
             } else {
-                print!("{out}");
+                emit(&out)?;
                 Err(format!(
                     "{} of {} file(s) failed: {}",
                     failed.len(),

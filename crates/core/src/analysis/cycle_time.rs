@@ -21,10 +21,12 @@
 //! [`CyclicStructure`], so the in-arc table streams through cache once
 //! per row instead of once per simulation, and the per-arc
 //! `max(best, src + δ)` widens to `b` contiguous SIMD-friendly lanes.
-//! The scalar engine survives as [`CycleTimeAnalysis::run_scalar`] — the
-//! reference oracle every wide result is property-tested (and
-//! bench-asserted) bit-identical against — and as the parent-tracked
-//! re-run of the single winning border in step 5.
+//! Step 5 backtracks the winning lane straight from that matrix
+//! ([`WideArena::backtrack_in`]), so a sweep costs one batched pass and
+//! no re-simulation of its winner. The scalar engine survives as
+//! [`CycleTimeAnalysis::run_scalar`] — the reference oracle every wide
+//! result is property-tested (and bench-asserted) bit-identical against,
+//! and the only engine that tracks parents.
 
 use std::fmt;
 
@@ -149,97 +151,72 @@ pub(crate) fn halt_to_error(halt: Halt) -> AnalysisError {
 /// blocking factor — results are bit-identical at any value.
 const L2_BUDGET_BYTES: usize = 512 * 1024;
 
-/// Overwrites `scratch`'s live-arc delays with scenario `j`'s
-/// reweighting of `nominal` — the in-place form of
-/// [`ScenarioSet::reweighted`], bit-identical to it (same
-/// `delay × factor` products through the same `set_delay`), letting the
-/// scenario runners serve every finish step from one scratch clone
-/// instead of materialising a graph per scenario.
-fn reweight_in_place(
-    scratch: &mut SignalGraph,
-    nominal: &SignalGraph,
-    set: &ScenarioSet,
-    j: usize,
-) {
-    for a in nominal.arc_ids() {
-        if !nominal.is_live_arc(a) {
-            continue;
-        }
-        let scaled = nominal.arc(a).delay().get() * set.factor(j, a);
-        scratch
-            .set_delay(a, scaled)
-            .expect("factors in (0, 2) keep delays finite and non-negative");
-    }
-}
-
-/// The per-scenario finish shared by every scenario entry point
-/// ([`CycleTimeAnalysis::run_scenarios_in`],
-/// [`CycleTimeAnalysis::run_scenarios_parallel_on`] and the session's
-/// warm scenario lanes): scenario `j`'s records (the `j`-th item of
-/// `scenario_records`) go through winner selection and the
-/// parent-tracked critical-cycle backtrack on scenario `j`'s
-/// reweighting of `sg`.
-///
-/// `structure` must be built on `sg`. The parent-tracked re-run reads
-/// a real graph, so one scratch clone of `sg` serves every scenario in
-/// turn with its delays overwritten in place (a clone per scenario,
-/// label strings included, would cost more than the sweep itself), and
-/// only the structure's delays are refreshed — one structure per sweep,
-/// no per-scenario topological sort. `structure` is left on `sg`'s
-/// nominal delays.
-pub(crate) fn finish_scenarios(
+/// Steps 4–5 for a border batch whose records are lanes
+/// `lane0..lane0 + b` of `wide`: winner selection, then the critical
+/// walk backtracked from the matrix. `structure` is the one the sweep
+/// folded; `delay_of` gives the lanes' per-arc delays (nominal, or one
+/// scenario's reweighting).
+pub(crate) fn finish_lanes(
     sg: &SignalGraph,
-    set: &ScenarioSet,
-    border: &[EventId],
-    scenario_records: impl IntoIterator<Item = Vec<BorderRecord>>,
-    structure: &mut CyclicStructure,
-    finish: &mut SimArena,
-) -> Result<ScenarioAnalysis, AnalysisError> {
-    let mut scratch = sg.clone();
-    let labels = (0..set.len()).map(|j| set.label(j).to_string()).collect();
-    let per = scenario_records
-        .into_iter()
-        .enumerate()
-        .map(|(j, records)| {
-            reweight_in_place(&mut scratch, sg, set, j);
-            structure.refresh_delays(&scratch);
-            CycleTimeAnalysis::finish(&scratch, structure, border.to_vec(), records, finish)
-        })
-        .collect::<Result<Vec<_>, _>>();
-    structure.refresh_delays(sg);
-    Ok(ScenarioAnalysis::new(labels, per?))
+    structure: &CyclicStructure,
+    wide: &WideArena,
+    lane0: usize,
+    border: Vec<EventId>,
+    records: Vec<BorderRecord>,
+    delay_of: impl Fn(ArcId) -> f64,
+) -> CycleTimeAnalysis {
+    let (k, (_, periods)) = winner(&records).expect(NO_WINNER);
+    let walk = wide
+        .backtrack_with(structure, lane0 + k, border[k], periods)
+        .expect("winning instance is reachable");
+    CycleTimeAnalysis::finish(sg, border, records, k, &walk, delay_of)
 }
 
-/// The border records of the first `scenarios` scenarios swept into
-/// `wide`, scenario-ordered: scenario `j`'s come from lanes `j·b + k`.
-pub(crate) fn scenario_lane_records<'a>(
+/// Steps 4–5 for the scenarios swept into `wide` (lanes `jj·b + k`),
+/// sweep scenario `jj` being `set`'s scenario `j0 + jj` — the finish
+/// every scenario entry point runs right after its sweep, while the
+/// matrix is still in the arena. Each scenario's walk is backtracked
+/// from its own lanes with its δs, and its cycle summed over
+/// `nominal × factor` — the delays [`ScenarioSet::reweighted`] stores —
+/// so each analysis equals a from-scratch run of the reweighted graph.
+pub(crate) fn finish_scenario_lanes<'a>(
+    sg: &'a SignalGraph,
+    set: &'a ScenarioSet,
+    j0: usize,
     border: &'a [EventId],
-    scenarios: usize,
     wide: &'a WideArena,
-) -> impl Iterator<Item = Vec<BorderRecord>> + 'a {
+    structure: &'a CyclicStructure,
+) -> impl Iterator<Item = CycleTimeAnalysis> + 'a {
     let bn = border.len();
-    (0..scenarios).map(move |j| {
-        (0..bn)
+    (0..wide.scenarios()).map(move |jj| {
+        let records = (0..bn)
             .map(|k| BorderRecord {
                 event: border[k],
-                distances: wide.distance_series(j * bn + k),
+                distances: wide.distance_series(jj * bn + k),
             })
-            .collect()
+            .collect();
+        let j = j0 + jj;
+        finish_lanes(
+            sg,
+            structure,
+            wide,
+            jj * bn,
+            border.to_vec(),
+            records,
+            |a| sg.arc(a).delay().get() * set.factor(j, a),
+        )
     })
 }
 
-/// Flattens per-worker record chunks, preserving chunk order; on
+/// Collects per-worker chunk results, preserving chunk order; on
 /// cancellation the reported progress is the *least* advanced worker's
 /// row count (any other halt surfaces as-is).
-fn merge_chunk_records(
-    chunks: Vec<Result<Vec<BorderRecord>, Halt>>,
-    capacity: usize,
-) -> Result<Vec<BorderRecord>, AnalysisError> {
-    let mut records: Vec<BorderRecord> = Vec::with_capacity(capacity);
+fn merge_chunks<T>(chunks: Vec<Result<T, Halt>>) -> Result<Vec<T>, AnalysisError> {
+    let mut out = Vec::with_capacity(chunks.len());
     let mut cancelled: Option<Cancelled> = None;
     for chunk in chunks {
         match chunk {
-            Ok(mut r) => records.append(&mut r),
+            Ok(c) => out.push(c),
             Err(Halt::Cancelled(c)) => {
                 cancelled = Some(match cancelled {
                     Some(prev) => Cancelled {
@@ -255,7 +232,24 @@ fn merge_chunk_records(
     if let Some(c) = cancelled {
         return Err(halt_to_error(Halt::Cancelled(c)));
     }
-    Ok(records)
+    Ok(out)
+}
+
+const NO_WINNER: &str = "every border event lies on a cycle with period <= b";
+
+/// Step 4 over `records`: the index and best `(t, i)` of the first
+/// record with the strictly largest ratio, or `None` when no record
+/// reached its origin again.
+fn winner(records: &[BorderRecord]) -> Option<(usize, (f64, u32))> {
+    let mut best: Option<(usize, (f64, u32))> = None;
+    for (k, rec) in records.iter().enumerate() {
+        if let Some(cand) = rec.best() {
+            if best.is_none_or(|(_, b)| ratio_cmp(cand, b).is_gt()) {
+                best = Some((k, cand));
+            }
+        }
+    }
+    best
 }
 
 /// Result of the paper's cycle-time algorithm.
@@ -335,8 +329,8 @@ impl CycleTimeAnalysis {
     }
 
     /// Allocation-reusing core: runs the algorithm with the lane-major
-    /// wide matrix of all `b` lockstep simulations — and the scalar
-    /// arena of the parent-tracked winner re-run — living in `arena`.
+    /// wide matrix of all `b` lockstep simulations — which the critical
+    /// cycle is backtracked from too — living in `arena`.
     ///
     /// Repeated analyses over one arena — a design-space inner loop, a
     /// worker thread of [`CycleTimeAnalysis::analyze_batch`], a serve
@@ -360,10 +354,8 @@ impl CycleTimeAnalysis {
     /// explicit cancel aborts a long analysis within one row of work and
     /// returns [`AnalysisError::Cancelled`] with the progress made. The
     /// arena stays valid for reuse — the next run overwrites the
-    /// partially written matrix from row 0.
-    ///
-    /// (The O(b·m) parent-tracked winner re-run in the finish step is
-    /// not polled: it is one simulation against the main phase's `b`.)
+    /// partially written matrix from row 0. (The finish step is not
+    /// polled: it backtracks one walk from the filled matrix.)
     ///
     /// # Errors
     ///
@@ -383,11 +375,7 @@ impl CycleTimeAnalysis {
 
         // One shared evaluation structure (rebuilt into the arena's warm
         // buffers), one lockstep pass for all b simulations.
-        let AnalysisArena {
-            wide,
-            finish,
-            structure,
-        } = arena;
+        let AnalysisArena { wide, structure } = arena;
         structure.rebuild(sg);
         if let Err(halt) = wide.run_with(sg, structure, &border, b, cancel) {
             return Err(halt_to_error(halt));
@@ -399,14 +387,19 @@ impl CycleTimeAnalysis {
             })
             .collect();
 
-        Self::finish(sg, structure, border, records, finish)
+        Ok(finish_lanes(sg, structure, wide, 0, border, records, |a| {
+            sg.arc(a).delay().get()
+        }))
     }
 
     /// The scalar reference engine: the pre-wide one-simulation-at-a-time
     /// loop, kept as the oracle the lane-batched kernel is verified
     /// against (`tests/wide.rs`, the `bench` binary's `wide-vs-scalar`
     /// scenario) and as the baseline those speedups are measured from.
-    /// Bit-identical to [`CycleTimeAnalysis::run`] by construction.
+    /// Its critical cycle comes from a parent-tracked re-run of the
+    /// winning border — the reference the wide matrix backtrack is
+    /// checked against. Bit-identical to [`CycleTimeAnalysis::run`] by
+    /// construction.
     ///
     /// # Errors
     ///
@@ -445,7 +438,16 @@ impl CycleTimeAnalysis {
             });
         }
 
-        Self::finish(sg, &structure, border, records, arena)
+        let (k, (_, periods)) = winner(&records).expect(NO_WINNER);
+        arena
+            .run_with(sg, &structure, border[k], periods, true)
+            .expect("winner is a border event");
+        let walk = arena
+            .backtrack_in(sg, border[k], periods)
+            .expect("winning instance is reachable");
+        Ok(Self::finish(sg, border, records, k, &walk, |a| {
+            sg.arc(a).delay().get()
+        }))
     }
 
     /// Runs the algorithm with the `b` border simulations chunked into
@@ -453,11 +455,14 @@ impl CycleTimeAnalysis {
     ///
     /// Each worker runs one [`WideArena`] over a contiguous chunk of
     /// lanes — a lockstep SIMD-friendly pass per worker, instead of the
-    /// pre-wide one-scalar-simulation-per-claim fan-out. Every lane's
-    /// values are independent of its neighbours (lockstep only shares
-    /// the traversal), and chunks preserve border order, so the result —
-    /// cycle time, critical cycle, records — is bit-identical to
-    /// [`CycleTimeAnalysis::run`] at every thread count.
+    /// pre-wide one-scalar-simulation-per-claim fan-out — and backtracks
+    /// its chunk's winner from its own matrix. Every lane's values are
+    /// independent of its neighbours (lockstep only shares the
+    /// traversal), and chunks preserve border order, so the global
+    /// first-strict-max winner is the first chunk winner that beats all
+    /// earlier ones, and the result — cycle time, critical cycle,
+    /// records — is bit-identical to [`CycleTimeAnalysis::run`] at every
+    /// thread count.
     ///
     /// # Errors
     ///
@@ -512,24 +517,44 @@ impl CycleTimeAnalysis {
 
         let chunk = border.len().div_ceil(runner.threads().max(1));
         let chunks: Vec<&[EventId]> = border.chunks(chunk).collect();
-        let chunk_records: Vec<Result<Vec<BorderRecord>, Halt>> = runner.run_with_state(
+        type ChunkWinner = Option<(usize, (f64, u32), Vec<ArcId>)>;
+        let results: Vec<Result<(Vec<BorderRecord>, ChunkWinner), Halt>> = runner.run_with_state(
             &chunks,
             || WideArena::with_kernel(kernel),
             |wide, lanes| {
                 wide.run_with(sg, &structure, lanes, b, cancel)?;
-                Ok(lanes
+                let records: Vec<BorderRecord> = lanes
                     .iter()
                     .enumerate()
                     .map(|(k, &g)| BorderRecord {
                         event: g,
                         distances: wide.distance_series(k),
                     })
-                    .collect())
+                    .collect();
+                let best = winner(&records).map(|(k, ratio)| {
+                    let walk = wide
+                        .backtrack_with(&structure, k, lanes[k], ratio.1)
+                        .expect("winning instance is reachable");
+                    (k, ratio, walk)
+                });
+                Ok((records, best))
             },
         );
-        let records = merge_chunk_records(chunk_records, border.len())?;
 
-        Self::finish(sg, &structure, border, records, &mut SimArena::new())
+        let mut records: Vec<BorderRecord> = Vec::with_capacity(border.len());
+        let mut best: ChunkWinner = None;
+        for (mut chunk_records, chunk_best) in merge_chunks(results)? {
+            if let Some((k, ratio, walk)) = chunk_best {
+                if best.as_ref().is_none_or(|b| ratio_cmp(ratio, b.1).is_gt()) {
+                    best = Some((records.len() + k, ratio, walk));
+                }
+            }
+            records.append(&mut chunk_records);
+        }
+        let (k, _, walk) = best.expect(NO_WINNER);
+        Ok(Self::finish(sg, border, records, k, &walk, |a| {
+            sg.arc(a).delay().get()
+        }))
     }
 
     /// Runs the algorithm under every delay scenario of `set` in one
@@ -541,8 +566,8 @@ impl CycleTimeAnalysis {
     /// Scenario `j`'s lanes are bit-identical to a from-scratch
     /// [`run`](Self::run) on [`ScenarioSet::reweighted`]`(sg, j)` (the
     /// bench suite asserts exactly that before timing anything), and the
-    /// per-scenario finish re-runs the winner on the reweighted graph,
-    /// so each [`ScenarioAnalysis::analysis`] is a full, exact result.
+    /// per-scenario finish backtracks the winner from those lanes, so
+    /// each [`ScenarioAnalysis::analysis`] is a full, exact result.
     ///
     /// # Errors
     ///
@@ -580,14 +605,10 @@ impl CycleTimeAnalysis {
 
         // Scenario δs are `nominal × factor` — the exact product
         // `ScenarioSet::reweighted` stores (set_delay keeps the bits),
-        // so kernel lanes and scalar re-runs on the reweighted graph
-        // fold bit-identical δs by construction, without materialising
-        // one graph clone per scenario on the hot path.
-        let AnalysisArena {
-            wide,
-            finish,
-            structure,
-        } = arena;
+        // so kernel lanes and scalar runs on the reweighted graph fold
+        // bit-identical δs by construction, without materialising one
+        // graph clone per scenario on the hot path.
+        let AnalysisArena { wide, structure } = arena;
         structure.rebuild(sg);
 
         // Scenarios are swept in cache-sized chunks: a chunk's hot set
@@ -596,12 +617,13 @@ impl CycleTimeAnalysis {
         // `b × s` matrix turns the lockstep pass memory-bound and loses
         // to per-scenario re-analysis. Lanes are independent, so chunk
         // boundaries cannot change any lane's cells: the result is
-        // bit-identical at every chunk size.
+        // bit-identical at every chunk size. Each chunk is finished
+        // before the next sweep overwrites the matrix.
         let bn = border.len();
         let n = sg.event_count();
         let per_lane_bytes = (2 * n + sg.arc_count()) * std::mem::size_of::<f64>();
         let scen_chunk = (L2_BUDGET_BYTES / (per_lane_bytes * bn).max(1)).clamp(1, s);
-        let mut scenario_records: Vec<Vec<BorderRecord>> = Vec::with_capacity(s);
+        let mut per: Vec<CycleTimeAnalysis> = Vec::with_capacity(s);
         let mut j0 = 0usize;
         while j0 < s {
             let sc = scen_chunk.min(s - j0);
@@ -616,17 +638,18 @@ impl CycleTimeAnalysis {
             ) {
                 return Err(halt_to_error(halt));
             }
-            scenario_records.extend(scenario_lane_records(&border, sc, wide));
+            per.extend(finish_scenario_lanes(sg, set, j0, &border, wide, structure));
             j0 += sc;
         }
 
-        finish_scenarios(sg, set, &border, scenario_records, structure, finish)
+        Ok(ScenarioAnalysis::new(set, per))
     }
 
     /// [`run_scenarios`](Self::run_scenarios) with the scenario lanes
     /// chunked across `runner`'s threads: each worker sweeps a
     /// contiguous block of scenarios (all borders of each) over its own
-    /// [`WideArena`] pinned to `kernel`. Chunks preserve scenario order
+    /// [`WideArena`] pinned to `kernel`, and finishes them from that
+    /// arena. Chunks preserve scenario order
     /// and lanes are independent, so the result is bit-identical to the
     /// sequential sweep at every thread count.
     ///
@@ -648,56 +671,31 @@ impl CycleTimeAnalysis {
         }
         let b = border.len() as u32;
         let s = set.len();
-        let mut structure = CyclicStructure::new(sg);
+        let structure = CyclicStructure::new(sg);
 
         let scenario_ids: Vec<usize> = (0..s).collect();
         let chunk = s.div_ceil(runner.threads().max(1)).max(1);
         let chunks: Vec<&[usize]> = scenario_ids.chunks(chunk).collect();
-        let chunk_records: Vec<Result<Vec<Vec<BorderRecord>>, Halt>> = runner.run_with_state(
+        let results: Vec<Result<Vec<CycleTimeAnalysis>, Halt>> = runner.run_with_state(
             &chunks,
             || WideArena::with_kernel(kernel),
             |wide, ids| {
+                let j0 = ids[0];
                 wide.run_scenarios_with(
                     sg,
                     &structure,
                     &border,
                     ids.len(),
-                    |arc, jj| sg.arc(arc).delay().get() * set.factor(ids[jj], arc),
+                    |arc, jj| sg.arc(arc).delay().get() * set.factor(j0 + jj, arc),
                     b,
                     cancel,
                 )?;
-                Ok(scenario_lane_records(&border, ids.len(), wide).collect())
+                Ok(finish_scenario_lanes(sg, set, j0, &border, wide, &structure).collect())
             },
         );
-        let mut scenario_records: Vec<Vec<BorderRecord>> = Vec::with_capacity(s);
-        let mut cancelled: Option<Cancelled> = None;
-        for chunk in chunk_records {
-            match chunk {
-                Ok(mut r) => scenario_records.append(&mut r),
-                Err(Halt::Cancelled(c)) => {
-                    cancelled = Some(match cancelled {
-                        Some(prev) => Cancelled {
-                            rows_done: prev.rows_done.min(c.rows_done),
-                            ..c
-                        },
-                        None => c,
-                    })
-                }
-                Err(halt) => return Err(halt_to_error(halt)),
-            }
-        }
-        if let Some(c) = cancelled {
-            return Err(halt_to_error(Halt::Cancelled(c)));
-        }
+        let per = merge_chunks(results)?.into_iter().flatten().collect();
 
-        finish_scenarios(
-            sg,
-            set,
-            &border,
-            scenario_records,
-            &mut structure,
-            &mut SimArena::new(),
-        )
+        Ok(ScenarioAnalysis::new(set, per))
     }
 
     /// Analyzes many graphs in parallel — the many-graph sweep behind
@@ -751,39 +749,25 @@ impl CycleTimeAnalysis {
         session.edit_delays(edits)
     }
 
-    /// Steps 4–5 of the algorithm, shared by every entry point: pick the
-    /// winning record, re-run it with parent tracking in `arena`, and
-    /// backtrack the critical cycle.
+    /// Steps 4–5 of the algorithm, shared by every entry point: record
+    /// `winner` (the step-4 pick) gives the cycle time, and its critical
+    /// walk — `border[winner]₀` to the instance it recurs at — is
+    /// decomposed into the best simple cycle, its length summed over
+    /// `delay_of`.
     pub(crate) fn finish(
         sg: &SignalGraph,
-        structure: &CyclicStructure,
         border: Vec<EventId>,
         records: Vec<BorderRecord>,
-        arena: &mut SimArena,
-    ) -> Result<Self, AnalysisError> {
+        winner: usize,
+        walk: &[ArcId],
+        delay_of: impl Fn(ArcId) -> f64,
+    ) -> Self {
         // Step 4: the largest average occurrence distance is the cycle time.
-        let (mut best, mut best_idx): (Option<(f64, u32)>, usize) = (None, 0);
-        for (k, rec) in records.iter().enumerate() {
-            if let Some(cand) = rec.best() {
-                if best.is_none() || ratio_cmp(cand, best.unwrap()).is_gt() {
-                    best = Some(cand);
-                    best_idx = k;
-                }
-            }
-        }
-        let (length, periods_spanned) =
-            best.expect("every border event lies on a cycle with period <= b");
+        let (length, periods_spanned) = records[winner].best().expect(NO_WINNER);
         let cycle_time = CycleTime::new(length, periods_spanned);
 
-        // Step 5: re-run the winning simulation with parent tracking and
-        // backtrack a critical cycle from it.
-        arena
-            .run_with(sg, structure, border[best_idx], periods_spanned, true)
-            .expect("winner is a border event");
-        let walk = arena
-            .backtrack_in(sg, border[best_idx], periods_spanned)
-            .expect("winning instance is reachable");
-        let critical_cycle = best_simple_cycle(sg, border[best_idx], &walk);
+        // Step 5: the best simple cycle of the critical walk.
+        let critical_cycle = best_simple_cycle(sg, border[winner], walk, delay_of);
 
         // Proposition 8: border events strictly below τ are off all
         // critical cycles; those attaining τ are on one.
@@ -798,13 +782,13 @@ impl CycleTimeAnalysis {
             })
             .collect();
 
-        Ok(CycleTimeAnalysis {
+        CycleTimeAnalysis {
             cycle_time,
             critical_cycle,
             critical_borders,
             border,
             records,
-        })
+        }
     }
 
     /// The cycle time `τ` of the graph.
@@ -846,8 +830,15 @@ pub fn cycle_ratio(sg: &SignalGraph, cycle: &[ArcId]) -> CycleTime {
 
 /// Decomposes the closed walk `start -walk-> start` into simple cycles and
 /// returns the one with the largest effective length (Proposition 5
-/// guarantees it attains the walk's ratio).
-fn best_simple_cycle(sg: &SignalGraph, start: EventId, walk: &[ArcId]) -> Vec<ArcId> {
+/// guarantees it attains the walk's ratio). Cycle lengths sum
+/// `delay_of` in walk order, as [`SignalGraph::path_length`] sums the
+/// graph's delays.
+fn best_simple_cycle(
+    sg: &SignalGraph,
+    start: EventId,
+    walk: &[ArcId],
+    delay_of: impl Fn(ArcId) -> f64,
+) -> Vec<ArcId> {
     /// Sentinel for "event not on the current open walk" in the flat
     /// position map (a critical walk visits events once per period, so a
     /// dense `Vec` beats a `HashMap` on the kilo-arc walks big rings
@@ -879,8 +870,9 @@ fn best_simple_cycle(sg: &SignalGraph, start: EventId, walk: &[ArcId]) -> Vec<Ar
     let best = cycles
         .into_iter()
         .max_by(|x, y| {
-            let rx = (sg.path_length(x), sg.occurrence_period(x));
-            let ry = (sg.path_length(y), sg.occurrence_period(y));
+            let length = |c: &[ArcId]| c.iter().map(|&a| delay_of(a)).sum::<f64>();
+            let rx = (length(x), sg.occurrence_period(x));
+            let ry = (length(y), sg.occurrence_period(y));
             ratio_cmp(rx, ry)
         })
         .expect("closed walk contains at least one cycle");

@@ -28,8 +28,11 @@
 //! comparison sequence, so their results are bit-identical by
 //! construction (see the [`wide`](crate::analysis::wide) module docs
 //! for the argument, and `tests/wide.rs` for the property tests); the
-//! scalar kernel remains the oracle the wide one is verified against,
-//! and the engine for parent-tracked re-runs of the winning border.
+//! scalar kernel remains the oracle the wide one is verified against.
+//! Only this kernel tracks parents: the wide one backtracks a critical
+//! walk from its time matrix
+//! ([`WideArena::backtrack_in`](crate::analysis::wide::WideArena::backtrack_in)),
+//! and [`SimArena::backtrack_in`] is the reference that walk must equal.
 
 use crate::analysis::structure::CyclicStructure;
 use crate::arc::ArcId;
@@ -227,16 +230,6 @@ impl SimArena {
                 }
             }
         }
-    }
-
-    /// Allocated capacity of the `(times, parent)` buffers, in cells.
-    ///
-    /// A warm-pool worker asserts this stays constant across requests of
-    /// the same shape: `run` only `resize`s within existing capacity, so
-    /// after the first (largest) run the arena never touches the
-    /// allocator again.
-    pub fn capacity(&self) -> (usize, usize) {
-        (self.times.capacity(), self.parent.capacity())
     }
 
     /// The initiating event `g` of the last run.

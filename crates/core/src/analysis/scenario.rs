@@ -359,8 +359,11 @@ pub struct ScenarioAnalysis {
 }
 
 impl ScenarioAnalysis {
-    pub(crate) fn new(labels: Vec<String>, per: Vec<CycleTimeAnalysis>) -> Self {
-        debug_assert_eq!(labels.len(), per.len());
+    /// Labels `per` — one analysis per scenario of `set`, in order —
+    /// with `set`'s scenario labels.
+    pub(crate) fn new(set: &ScenarioSet, per: Vec<CycleTimeAnalysis>) -> Self {
+        debug_assert_eq!(set.len(), per.len());
+        let labels = (0..set.len()).map(|j| set.label(j).to_string()).collect();
         ScenarioAnalysis { labels, per }
     }
 
@@ -575,8 +578,7 @@ mod tests {
         let per: Vec<_> = (0..set.len())
             .map(|j| CycleTimeAnalysis::run(&set.reweighted(&sg, j)).unwrap())
             .collect();
-        let labels = (0..set.len()).map(|j| set.label(j).to_string()).collect();
-        let sa = ScenarioAnalysis::new(labels, per);
+        let sa = ScenarioAnalysis::new(&set, per);
         let taus = sa.taus();
         // Corners scale every delay uniformly, so τ scales with them.
         assert_eq!(taus.len(), 3);

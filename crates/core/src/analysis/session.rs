@@ -40,11 +40,12 @@
 //! streams the in-arc table once for all lanes. When no lane's `r0`
 //! falls within the horizon the batch is not touched at all.
 //!
-//! The final winner-selection and critical-cycle backtracking re-run as
-//! usual (one parent-tracked simulation), so the produced
-//! [`CycleTimeAnalysis`] is **bit-identical** to a from-scratch run on
-//! the edited graph — asserted across generator families and random
-//! edit scripts in `tests/incremental.rs`. The price is memory: a
+//! The final winner selection re-runs over the cached records and the
+//! critical cycle is backtracked from the healed warm matrix (no
+//! re-simulation), so the produced [`CycleTimeAnalysis`] is
+//! **bit-identical** to a from-scratch run on the edited graph —
+//! asserted across generator families and random edit scripts in
+//! `tests/incremental.rs`. The price is memory: a
 //! session holds `b` matrices of `(b+1) × n` floats, O(b²·n) cells,
 //! instead of one.
 //!
@@ -86,10 +87,9 @@ use std::fmt;
 use tsg_sim::{CancelKind, CancelToken};
 
 use crate::analysis::cycle_time::{
-    finish_scenarios, halt_to_error, scenario_lane_records, AnalysisError, BorderRecord,
+    finish_lanes, finish_scenario_lanes, halt_to_error, AnalysisError, BorderRecord,
     CycleTimeAnalysis,
 };
-use crate::analysis::initiated::SimArena;
 use crate::analysis::scenario::{ScenarioAnalysis, ScenarioSet};
 use crate::analysis::structure::CyclicStructure;
 use crate::analysis::wide::{Halt, KernelBackend, WideArena};
@@ -288,10 +288,9 @@ pub struct AnalysisSession {
     /// The cached per-border distance tables, master copies.
     records: Vec<BorderRecord>,
     /// All `b` warm border matrices in one lane-major wide arena — the
-    /// state the dirty-region restarts resume into (O(b²·n) cells).
+    /// state the dirty-region restarts resume into (O(b²·n) cells), and
+    /// the matrix the critical cycle is backtracked from.
     wide: WideArena,
-    /// The arena `finish` re-runs the winner in (with parent tracking).
-    finish_arena: SimArena,
     analysis: CycleTimeAnalysis,
     edits: u64,
     /// First matrix row a cancelled resume left stale (`None` when the
@@ -398,14 +397,15 @@ impl AnalysisSession {
                 distances: wide.distance_series(k),
             })
             .collect();
-        let mut finish_arena = SimArena::new();
-        let analysis = CycleTimeAnalysis::finish(
+        let analysis = finish_lanes(
             &sg,
             &structure,
+            &wide,
+            0,
             border.clone(),
             records.clone(),
-            &mut finish_arena,
-        )?;
+            |a| sg.arc(a).delay().get(),
+        );
 
         let n = sg.event_count();
         Ok(AnalysisSession {
@@ -417,7 +417,6 @@ impl AnalysisSession {
             b,
             records,
             wide,
-            finish_arena,
             analysis,
             edits: 0,
             dirty_from: None,
@@ -459,6 +458,21 @@ impl AnalysisSession {
     /// every dirty-region resume) runs on.
     pub fn kernel(&self) -> KernelBackend {
         self.wide.kernel()
+    }
+
+    /// The warm border matrices (lane `k` = border `k`) the critical
+    /// cycle is backtracked from; exact for [`graph`](Self::graph)
+    /// unless [`is_stale`](Self::is_stale).
+    pub fn lane_matrix(&self) -> &WideArena {
+        &self.wide
+    }
+
+    /// The warm scenario matrices (lane `j·b + k` = scenario `j`,
+    /// border `k`), when scenarios are enabled; exact for
+    /// [`graph`](Self::graph) under [`scenario_set`](Self::scenario_set)
+    /// unless [`is_stale`](Self::is_stale).
+    pub fn scenario_lane_matrix(&self) -> Option<&WideArena> {
+        self.scenarios.as_ref().map(|s| &s.wide)
     }
 
     /// Resolves a label-addressed edit (`src -> dst`) to the first arc
@@ -880,18 +894,22 @@ impl AnalysisSession {
         Ok((dirty_count, rows))
     }
 
-    /// Re-runs winner selection and critical-cycle backtracking from the
-    /// cached records; the border set was verified non-empty by the
-    /// caller.
+    /// Re-runs winner selection over the cached records and backtracks
+    /// the critical cycle from the warm matrix, which must be healed
+    /// (`dirty_from` clear); the border set was verified non-empty by
+    /// the caller.
     fn refinish(&mut self) {
-        self.analysis = CycleTimeAnalysis::finish(
-            &self.sg,
+        debug_assert!(self.dirty_from.is_none(), "refinish needs a healed matrix");
+        let sg = &self.sg;
+        self.analysis = finish_lanes(
+            sg,
             &self.structure,
+            &self.wide,
+            0,
             self.border.clone(),
             self.records.clone(),
-            &mut self.finish_arena,
-        )
-        .expect("border set verified non-empty");
+            |a| sg.arc(a).delay().get(),
+        );
     }
 
     /// Turns on corner/sample-lane analysis: one `b × s` wide pass over
@@ -946,15 +964,8 @@ impl AnalysisSession {
         ) {
             return Err(halt_to_error(halt));
         }
-        let analysis = finish_scenarios(
-            sg,
-            &set,
-            &self.border,
-            scenario_lane_records(&self.border, set.len(), &wide),
-            &mut self.structure,
-            &mut self.finish_arena,
-        )
-        .expect("border set verified non-empty");
+        let per = finish_scenario_lanes(sg, &set, 0, &self.border, &wide, &self.structure);
+        let analysis = ScenarioAnalysis::new(&set, per.collect());
         self.scenarios = Some(ScenarioState {
             set,
             wide,
@@ -1057,17 +1068,11 @@ impl AnalysisSession {
             }
             scen.dirty_from = None;
         }
-        // Winner selection re-runs on the reweighted delays every
-        // batch, mirroring the nominal `refinish`.
-        scen.analysis = finish_scenarios(
-            sg,
-            &scen.set,
-            &self.border,
-            scenario_lane_records(&self.border, scen.set.len(), &scen.wide),
-            &mut self.structure,
-            &mut self.finish_arena,
-        )
-        .expect("border set verified non-empty");
+        // Winner selection and backtracking re-run from the healed
+        // scenario lanes every batch, mirroring the nominal `refinish`.
+        let per =
+            finish_scenario_lanes(sg, &scen.set, 0, &self.border, &scen.wide, &self.structure);
+        scen.analysis = ScenarioAnalysis::new(&scen.set, per.collect());
         Ok(())
     }
 

@@ -31,10 +31,9 @@ pub(crate) struct InArc {
 ///
 /// `order`, `offsets` and the entries' `src`/`marked`/`arc` fields depend
 /// on the graph's topology alone; each entry's `delay` is the only state
-/// a same-topology graph (a delay scenario, a delay edit) may change, and
-/// [`refresh_delays`](Self::refresh_delays) rewrites exactly that. Any
-/// topology change — an added, removed or re-marked arc, a new event —
-/// needs a full [`rebuild`](Self::rebuild).
+/// a delay edit may change in place. Any topology change — an added,
+/// removed or re-marked arc, a new event — needs a full
+/// [`rebuild`](Self::rebuild).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct CyclicStructure {
     /// Repetitive events in topological order of the unmarked subgraph.
@@ -126,23 +125,6 @@ impl CyclicStructure {
         }
     }
 
-    /// Rewrites every entry's delay from `sg`, which must have the
-    /// topology this structure was built on (only delays may differ) —
-    /// the per-scenario refresh of the scenario finish. `O(entries)`:
-    /// no topological sort and no CSR fill. Entry order depends on
-    /// topology alone, so the result is bit-identical to
-    /// [`rebuild`](Self::rebuild)`(sg)`.
-    pub fn refresh_delays(&mut self, sg: &SignalGraph) {
-        debug_assert_eq!(
-            self.entries.len(),
-            sg.arc_ids().filter(|&a| is_cyclic_entry(sg, a)).count(),
-            "refresh_delays needs the topology the structure was built on"
-        );
-        for entry in &mut self.entries {
-            entry.delay = sg.arc(entry.arc).delay().get();
-        }
-    }
-
     /// In-arcs of event `e`.
     #[inline]
     pub fn in_arcs(&self, e: EventId) -> &[InArc] {
@@ -207,83 +189,5 @@ mod tests {
         };
         assert!(pos("a") < pos("b"));
         assert!(pos("b") < pos("c"));
-    }
-
-    /// A seeded ring of `n` events with random delays and tokens, forward
-    /// unmarked and backward marked chords (live by construction), an
-    /// initial event with a disengageable arc into the ring, and one
-    /// removed chord, so tombstoned and excluded arcs are covered.
-    fn random_graph(seed: u64) -> SignalGraph {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let n = rng.gen_range(2..24usize);
-        let mut b = SignalGraph::builder();
-        let go = b.initial_event("go");
-        let ev: Vec<EventId> = (0..n).map(|i| b.event(&format!("v{i}+"))).collect();
-        for i in 0..n - 1 {
-            let d = rng.gen_range(0..10) as f64 * 0.5;
-            if rng.gen_bool(0.2) {
-                b.marked_arc(ev[i], ev[i + 1], d);
-            } else {
-                b.arc(ev[i], ev[i + 1], d);
-            }
-        }
-        b.marked_arc(ev[n - 1], ev[0], 1.0);
-        b.disengageable_arc(go, ev[0], 2.0);
-        for _ in 0..rng.gen_range(0..2 * n) {
-            let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
-            let d = rng.gen_range(0..10) as f64 * 0.25;
-            if i < j {
-                b.arc(ev[i], ev[j], d);
-            } else {
-                b.marked_arc(ev[i], ev[j], d);
-            }
-        }
-        let mut sg = b.build().unwrap();
-        let chord = sg.add_arc(ev[n - 1], ev[0], 3.0, true).unwrap();
-        sg.remove_arc(chord).unwrap();
-        sg
-    }
-
-    #[test]
-    fn refresh_delays_equals_rebuild_on_random_scenarios() {
-        use crate::analysis::scenario::{Corner, ScenarioSet};
-        for seed in 0..64u64 {
-            let sg = random_graph(seed);
-            let set = if seed % 2 == 0 {
-                ScenarioSet::samples(4, seed, 30.0, sg.arc_count()).unwrap()
-            } else {
-                ScenarioSet::corners(
-                    10.0,
-                    &[Corner::Min, Corner::Typ, Corner::Max],
-                    sg.arc_count(),
-                )
-                .unwrap()
-            };
-            let mut s = CyclicStructure::new(&sg);
-            for j in 0..set.len() {
-                let rg = set.reweighted(&sg, j);
-                s.refresh_delays(&rg);
-                let want = CyclicStructure::new(&rg);
-                assert_eq!(s.order, want.order, "seed {seed} scenario {j}");
-                assert_eq!(s.offsets, want.offsets, "seed {seed} scenario {j}");
-                assert_eq!(
-                    s.entries.len(),
-                    want.entries.len(),
-                    "seed {seed} scenario {j}"
-                );
-                for (got, want) in s.entries.iter().zip(&want.entries) {
-                    assert_eq!(got.src, want.src, "seed {seed} scenario {j}");
-                    assert_eq!(
-                        got.delay.to_bits(),
-                        want.delay.to_bits(),
-                        "seed {seed} scenario {j}"
-                    );
-                    assert_eq!(got.marked, want.marked, "seed {seed} scenario {j}");
-                    assert_eq!(got.arc, want.arc, "seed {seed} scenario {j}");
-                }
-            }
-        }
     }
 }

@@ -86,7 +86,7 @@
 //! # Why the results are bit-identical to the scalar kernel
 //!
 //! Per lane, the wide kernel performs *the exact comparison sequence* of
-//! the scalar kernel ([`SimArena`]):
+//! the scalar kernel ([`SimArena`](crate::analysis::initiated::SimArena)):
 //!
 //! * in-arcs are visited in the same order, so the arg-max tie-breaking
 //!   (first strict improvement wins) is unchanged;
@@ -105,12 +105,18 @@
 //! families *and backends* in `tests/wide.rs` and re-asserted by the
 //! `bench` binary before any speedup is reported.
 //!
-//! The one thing the wide kernel does not track is parents: the
-//! cycle-time algorithm needs backtracking only for the single winning
-//! border event, which [`CycleTimeAnalysis::finish`] re-runs scalar with
-//! `track_parents` — `O(b·m)` against the `O(b²·m)` main phase.
+//! # Backtracking from the matrix
 //!
-//! [`CycleTimeAnalysis::finish`]: crate::analysis::CycleTimeAnalysis
+//! The wide kernel stores no parents: step 5 of the cycle-time
+//! algorithm backtracks the winning lane from the time matrix itself
+//! ([`WideArena::backtrack_in`]). At cell `(e, p)` the walk takes the
+//! first in-arc, in structure order, whose source cell plus the lane's δ
+//! equals the cell — skipping `NEG_INFINITY` sources and row-0 marked
+//! arcs — and stops at the lane's `(origin, 0)`. The cell is the maximum
+//! of exactly those candidates, so the first one equal to it is the
+//! scalar kernel's "first strict improvement wins" arg-max: the walk is
+//! the scalar parent chain bit for bit, at `O(|walk| · in-degree)`
+//! instead of a parent-tracked re-simulation.
 
 use std::fmt;
 use std::str::FromStr;
@@ -118,7 +124,7 @@ use std::sync::OnceLock;
 
 use tsg_sim::{CancelKind, CancelToken};
 
-use crate::analysis::initiated::{NotRepetitive, SimArena};
+use crate::analysis::initiated::NotRepetitive;
 use crate::analysis::structure::CyclicStructure;
 use crate::arc::ArcId;
 use crate::event::EventId;
@@ -866,7 +872,7 @@ impl WideArena {
     /// Allocated capacity of the lane-major time buffer, in cells.
     ///
     /// A warm-pool worker asserts this stays constant across requests of
-    /// the same shape, exactly like [`SimArena::capacity`].
+    /// the same shape: runs only `resize` within existing capacity.
     pub fn capacity(&self) -> usize {
         self.times.capacity()
     }
@@ -907,7 +913,8 @@ impl WideArena {
     }
 
     /// `t_{gk,0}(e_p)` of lane `k`, or `None` when `g_{k,0} ⇏ e_p` —
-    /// the lane-indexed twin of [`SimArena::time`].
+    /// the lane-indexed twin of
+    /// [`SimArena::time`](crate::analysis::initiated::SimArena::time).
     pub fn time(&self, k: usize, e: EventId, instance: u32) -> Option<f64> {
         let p = instance as usize;
         let lanes = self.lanes();
@@ -916,6 +923,71 @@ impl WideArena {
         }
         let t = self.times.as_slice()[(p * self.n + e.index()) * lanes + k];
         (t > f64::NEG_INFINITY).then_some(t)
+    }
+
+    /// Backtracks lane `k`'s longest path from its origin `g_{k,0}` to
+    /// `e_p` (Proposition 1), returning the Signal Graph arcs of the path
+    /// in forward order — the lane-indexed twin of
+    /// [`SimArena::backtrack_in`](crate::analysis::initiated::SimArena::backtrack_in),
+    /// read from the time matrix (see the module docs). `sg` must be the
+    /// graph of the last run.
+    ///
+    /// Returns `None` when `e_p` is not reachable from `g_{k,0}` or lies
+    /// outside the last run.
+    pub fn backtrack_in(
+        &self,
+        sg: &SignalGraph,
+        k: usize,
+        e: EventId,
+        instance: u32,
+    ) -> Option<Vec<ArcId>> {
+        self.backtrack_with(&CyclicStructure::new(sg), k, e, instance)
+    }
+
+    /// [`backtrack_in`](Self::backtrack_in) over the structure the last
+    /// run folded (its delays in nominal mode, its slot order for the
+    /// scenario δ table).
+    pub(crate) fn backtrack_with(
+        &self,
+        structure: &CyclicStructure,
+        k: usize,
+        e: EventId,
+        instance: u32,
+    ) -> Option<Vec<ArcId>> {
+        self.time(k, e, instance)?;
+        let lanes = self.lanes();
+        let times = self.times.as_slice();
+        let cell = |p: usize, ev: usize| times[(p * self.n + ev) * lanes + k];
+        let origin = self.origin(k);
+        let mut arcs = Vec::new();
+        let (mut ev, mut p) = (e, instance as usize);
+        while p > 0 || ev != origin {
+            let t = cell(p, ev.index());
+            let slot0 = structure.offsets[ev.index()] as usize;
+            let ia = structure
+                .in_arcs(ev)
+                .iter()
+                .enumerate()
+                .find(|&(off, ia)| {
+                    let src = match (ia.marked, p) {
+                        (true, 0) => return false, // no previous row
+                        (true, _) => cell(p - 1, ia.src as usize),
+                        (false, _) => cell(p, ia.src as usize),
+                    };
+                    let delay = if self.deltas.is_empty() {
+                        ia.delay
+                    } else {
+                        self.deltas[(slot0 + off) * lanes + k]
+                    };
+                    src != f64::NEG_INFINITY && src + delay == t
+                })
+                .map(|(_, ia)| ia)?;
+            arcs.push(ia.arc);
+            p -= ia.marked as usize;
+            ev = EventId(ia.src);
+        }
+        arcs.reverse();
+        Some(arcs)
     }
 
     /// All defined `δ_{gk,0}(g_{k,i})` of lane `k`, as `(i, t, δ)`.
@@ -1373,31 +1445,32 @@ unsafe fn rows_sse2(
 }
 
 /// The reusable state of one full cycle-time analysis: the wide matrix
-/// all `b` lockstep border simulations share, plus the scalar
-/// [`SimArena`] the parent-tracked winner re-run uses.
+/// all `b` lockstep border simulations share — the critical cycle is
+/// backtracked from it too — and the evaluation structure it runs over.
 ///
 /// [`CycleTimeAnalysis::run_in`](crate::analysis::CycleTimeAnalysis::run_in)
 /// reuses one of these per worker/request the way the scalar engine
-/// reuses a [`SimArena`]: after the first analysis of the largest shape,
-/// repeated analyses never touch the allocator.
+/// reuses a [`SimArena`](crate::analysis::initiated::SimArena): after
+/// the first analysis of the largest shape, repeated analyses never
+/// touch the allocator.
 #[derive(Clone, Debug, Default)]
 pub struct AnalysisArena {
     pub(crate) wide: WideArena,
-    pub(crate) finish: SimArena,
     /// The shared evaluation structure, rebuilt in place per analysed
-    /// graph (buffer-reusing; see [`CyclicStructure::rebuild`]) and left
-    /// on the graph's nominal delays after a scenario sweep.
+    /// graph (buffer-reusing; see [`CyclicStructure::rebuild`]). Scenario
+    /// sweeps read scenario delays from the wide δ table, so it always
+    /// holds the graph's nominal delays.
     pub(crate) structure: CyclicStructure,
 }
 
 impl AnalysisArena {
-    /// An empty arena pair on the auto-detected kernel backend; the
-    /// first analysis sizes both.
+    /// An empty arena on the auto-detected kernel backend; the first
+    /// analysis sizes it.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty arena pair pinned to `kernel` (resolved leniently, like
+    /// An empty arena pinned to `kernel` (resolved leniently, like
     /// [`WideArena::with_kernel`]).
     pub fn with_kernel(kernel: KernelBackend) -> Self {
         AnalysisArena {
@@ -1411,18 +1484,18 @@ impl AnalysisArena {
         self.wide.kernel()
     }
 
-    /// Allocated capacities `(wide time cells, scalar time cells,
-    /// scalar parent cells)` — the warm-pool zero-allocation assertions
-    /// check all three stay constant across same-shape requests.
-    pub fn capacity(&self) -> (usize, usize, usize) {
-        let (t, p) = self.finish.capacity();
-        (self.wide.capacity(), t, p)
+    /// Allocated capacity of the wide lane matrix, in cells — the
+    /// warm-pool zero-allocation assertion checks it stays constant
+    /// across same-shape requests.
+    pub fn capacity(&self) -> usize {
+        self.wide.capacity()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::initiated::SimArena;
     use crate::SignalGraph;
 
     fn figure2() -> SignalGraph {

@@ -11,8 +11,8 @@
 //!   simulations across a thread pool);
 //! * a serve worker drives a persistent [`Workspace`] — one warm
 //!   [`AnalysisArena`] (the lane-major wide matrix of all `b` lockstep
-//!   border simulations plus the scalar finish arena) and pre-sized
-//!   event queues — through
+//!   border simulations, which the critical cycle is backtracked from)
+//!   and pre-sized event queues — through
 //!   [`Workspace::analyze`] / [`Workspace::simulate`], which are
 //!   bit-identical to the cold paths (`CycleTimeAnalysis::run_in` ≡
 //!   `run_parallel`, `EventSimulation::run_in` ≡ `run_on`; both
@@ -1122,9 +1122,9 @@ impl Workspace {
         self.arena.kernel()
     }
 
-    /// Capacity of the analysis arena's buffers: `(wide lane-major time
-    /// cells, scalar time cells, scalar parent cells)`.
-    pub fn arena_capacity(&self) -> (usize, usize, usize) {
+    /// Capacity of the analysis arena's wide lane-major time matrix, in
+    /// cells.
+    pub fn arena_capacity(&self) -> usize {
         self.arena.capacity()
     }
 

@@ -29,12 +29,18 @@
 //! must hold the exact bits of a from-scratch scalar analysis of the
 //! per-scenario reweighted graph — across every generator family,
 //! every backend, odd `b × s` remainder shapes, and any thread count.
+//!
+//! The critical cycle is backtracked from the lane matrix itself, so
+//! every reachable cell's matrix walk must be the scalar kernel's
+//! parent chain: nominal and scenario lanes, tie-heavy integral delays,
+//! warm sessions after structural edits, every backend.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
+use tsg::core::analysis::initiated::SimArena;
 use tsg::core::analysis::session::AnalysisSession;
-use tsg::core::analysis::wide::AnalysisArena;
+use tsg::core::analysis::wide::{AnalysisArena, WideArena};
 use tsg::core::analysis::{Corner, CycleTimeAnalysis, ScenarioAnalysis, ScenarioSet};
 use tsg::core::{ArcId, SignalGraph};
 use tsg::gen::{handshake_pipeline, random_live_tsg, ring, torus, PipelineConfig, RandomTsgConfig};
@@ -106,6 +112,58 @@ fn graph(family: usize, seed: u64) -> SignalGraph {
         ),
         _ => random_live_tsg(seed, RandomTsgConfig::default()),
     }
+}
+
+/// `sg` with every arc's delay replaced by a small integer (0, 1 or 2):
+/// many equal-length paths, so arg-max ties are everywhere.
+fn integral_delays(sg: &SignalGraph) -> SignalGraph {
+    let mut out = sg.clone();
+    for a in sg.arc_ids().filter(|&a| sg.is_live_arc(a)) {
+        out.set_delay(a, (a.index() % 3) as f64)
+            .expect("small integers are valid delays");
+    }
+    out
+}
+
+/// For every lane of `wide` (last run on `sg`) and every reachable cell
+/// `(e, p)`, the matrix backtrack equals `SimArena::backtrack_in` of a
+/// parent-tracked scalar run of the lane's origin — on
+/// `set.reweighted(sg, j)` for the lanes of scenario `j` when `set` is
+/// given. Returns the number of reachable cells checked.
+fn assert_backtracks_match_scalar(
+    sg: &SignalGraph,
+    wide: &WideArena,
+    set: Option<&ScenarioSet>,
+    ctx: &str,
+) -> usize {
+    let reweighted: Vec<SignalGraph> = set.map_or_else(Vec::new, |set| {
+        (0..set.len()).map(|j| set.reweighted(sg, j)).collect()
+    });
+    let mut scalar = SimArena::new();
+    let mut reached = 0;
+    for k in 0..wide.lanes() {
+        let lane_graph = if set.is_some() {
+            &reweighted[wide.scenario_of(k)]
+        } else {
+            sg
+        };
+        scalar
+            .run(lane_graph, wide.origin(k), wide.periods(), true)
+            .expect("lane origins are border events");
+        for e in sg.events() {
+            for p in 0..=wide.periods() {
+                let want = scalar.backtrack_in(lane_graph, e, p);
+                reached += want.is_some() as usize;
+                assert_eq!(
+                    wide.backtrack_in(sg, k, e, p),
+                    want,
+                    "{ctx}: lane {k} e={} p={p}",
+                    sg.label(e)
+                );
+            }
+        }
+    }
+    reached
 }
 
 /// A deterministic delay-edit script striding through the arcs.
@@ -330,6 +388,46 @@ proptest! {
                     &scalar,
                     swept.analysis(j),
                     &format!("ring n={n} b={b} s={s} seed {seed} [{}] lane {j}", backend.name()),
+                );
+            }
+        }
+    }
+
+    /// The matrix backtrack is the scalar parent chain, cell for cell:
+    /// fresh nominal lanes, a warm session's nominal and scenario lanes
+    /// after a structural edit script, on every family (with its own
+    /// delays or tie-heavy integral ones) and every backend.
+    #[test]
+    fn matrix_backtrack_equals_the_scalar_parent_chain(
+        family in 0usize..4,
+        seed in 0u64..10_000,
+        integral in any::<bool>(),
+        batches in 0usize..3,
+    ) {
+        let sg = graph(family, seed);
+        let sg = if integral { integral_delays(&sg) } else { sg };
+        let set = scenario_set(&sg, seed);
+        let script = structural_edit_script(&sg, batches);
+        for backend in available_backends() {
+            let ctx = format!("family {family} seed {seed} integral {integral} [{}]", backend.name());
+            let border = sg.border_events();
+            let mut wide = WideArena::with_kernel(backend);
+            wide.run(&sg, &border, border.len() as u32).expect("live");
+            let reached = assert_backtracks_match_scalar(&sg, &wide, None, &ctx);
+            prop_assert!(reached >= border.len(), "{ctx}: every origin cell is reached");
+
+            let mut session = AnalysisSession::open_with_kernel(sg.clone(), backend).expect("live");
+            session.enable_scenarios(&set).expect("live");
+            for (step, batch) in std::iter::once(&Vec::new()).chain(&script).enumerate() {
+                session.edit_structure(batch).unwrap();
+                let ctx = format!("{ctx} session batch {step}");
+                let edited = session.graph();
+                assert_backtracks_match_scalar(edited, session.lane_matrix(), None, &ctx);
+                assert_backtracks_match_scalar(
+                    edited,
+                    session.scenario_lane_matrix().expect("scenarios enabled"),
+                    session.scenario_set(),
+                    &format!("{ctx} scenarios"),
                 );
             }
         }
