@@ -4,9 +4,8 @@
 //! bench [--quick] [--threads N] [--out PATH]
 //! ```
 //!
-//! Runs the kernel's hot paths outside Criterion — per-backend queue
-//! throughput (bulk push/pop and the steady-state hold model), the
-//! lane-batched wide kernel against the scalar reference engine on the
+//! Runs the kernel's hot paths outside Criterion — the lane-batched
+//! wide kernel against the scalar reference engine on the
 //! tracked ring/torus/random sweeps (`wide_vs_scalar`), the explicit
 //! SIMD backends against the portable loop on the same sweeps
 //! (`simd_vs_portable`, with the detected CPU feature level recorded),
@@ -22,9 +21,9 @@
 //! one session resuming through `edit_structure` — and writes the
 //! numbers to
 //! `BENCH_kernel.json` (see the README's "Performance" section for how
-//! to read it). CI runs `bench --quick` on every PR, so the perf
-//! trajectory of the queue backends, the wide analysis kernel and the
-//! batch pipeline is recorded from PR 2 on.
+//! to read it). CI runs `bench --quick` on every change, so the perf
+//! trajectory of the wide analysis kernel and the batch pipeline is
+//! recorded.
 //!
 //! Every analysis result is asserted bit-identical between the
 //! sequential and batched pipelines before any number is reported —
@@ -38,28 +37,15 @@ use std::time::Instant;
 use tsg_baselines::{longrun_estimate_mc, longrun_estimate_mc_lanes};
 use tsg_bench::{
     apply_graph_edits, assert_backends_match, assert_scenarios_match_scalar,
-    assert_wide_matches_scalar, available_backends, edit_loop_graph, edit_script, hold, push_pop,
-    structural_edit_script, wide_scenarios, DELAY_BOUND, EDIT_LOOP_WORKLOAD,
+    assert_wide_matches_scalar, available_backends, edit_loop_graph, edit_script,
+    structural_edit_script, wide_scenarios, EDIT_LOOP_WORKLOAD,
 };
 use tsg_core::analysis::initiated::SimArena;
 use tsg_core::analysis::session::AnalysisSession;
 use tsg_core::analysis::wide::AnalysisArena;
 use tsg_core::analysis::{Corner, CycleTimeAnalysis, KernelBackend, ScenarioSet};
 use tsg_core::SignalGraph;
-use tsg_sim::{BatchRunner, CalendarQueue, EventQueue};
-
-/// Best-of-`reps` wall time for `f`, which reports how many queue
-/// operations it performed.
-fn best_of(reps: usize, mut f: impl FnMut() -> usize) -> (f64, usize) {
-    let mut best = f64::INFINITY;
-    let mut ops = 0;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        ops = f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    (best, ops)
-}
+use tsg_sim::BatchRunner;
 
 /// Per-call seconds of `f`, timed over a calibrated batch: `f` loops
 /// until a sample spans ~2 ms of wall time, best of `reps` samples —
@@ -80,73 +66,6 @@ fn time_per_call(reps: usize, mut f: impl FnMut() -> usize) -> f64 {
     }
     std::hint::black_box(sink);
     best
-}
-
-struct QueueRow {
-    backend: &'static str,
-    workload: &'static str,
-    depth: usize,
-    ops: usize,
-    seconds: f64,
-}
-
-impl QueueRow {
-    fn mops(&self) -> f64 {
-        self.ops as f64 / self.seconds.max(1e-12) / 1e6
-    }
-}
-
-fn measure_queues(depths: &[usize], reps: usize) -> Vec<QueueRow> {
-    let mut rows = Vec::new();
-    for &depth in depths {
-        let (heap_pp, ops) = best_of(reps, || push_pop(EventQueue::with_capacity(depth), depth));
-        rows.push(QueueRow {
-            backend: "binary_heap",
-            workload: "push_pop",
-            depth,
-            ops,
-            seconds: heap_pp,
-        });
-        let (cal_pp, ops) = best_of(reps, || {
-            push_pop(
-                EventQueue::with_backend(CalendarQueue::with_delay_bound(DELAY_BOUND)),
-                depth,
-            )
-        });
-        rows.push(QueueRow {
-            backend: "calendar",
-            workload: "push_pop",
-            depth,
-            ops,
-            seconds: cal_pp,
-        });
-        let hold_ops = 4 * depth;
-        let (heap_h, ops) = best_of(reps, || {
-            hold(EventQueue::with_capacity(depth), depth, hold_ops)
-        });
-        rows.push(QueueRow {
-            backend: "binary_heap",
-            workload: "hold",
-            depth,
-            ops,
-            seconds: heap_h,
-        });
-        let (cal_h, ops) = best_of(reps, || {
-            hold(
-                EventQueue::with_backend(CalendarQueue::with_delay_bound(DELAY_BOUND)),
-                depth,
-                hold_ops,
-            )
-        });
-        rows.push(QueueRow {
-            backend: "calendar",
-            workload: "hold",
-            depth,
-            ops,
-            seconds: cal_h,
-        });
-    }
-    rows
 }
 
 struct BatchRow {
@@ -605,7 +524,6 @@ fn measure_structural_edit_loop(batch_counts: &[usize], reps: usize) -> Vec<Edit
 #[allow(clippy::too_many_arguments)]
 fn json_report(
     quick: bool,
-    queue_rows: &[QueueRow],
     graphs: usize,
     seq_seconds: f64,
     batch_rows: &[BatchRow],
@@ -643,22 +561,6 @@ fn json_report(
             .collect::<Vec<_>>()
             .join(", ")
     );
-    let _ = writeln!(out, "  \"queue\": [");
-    for (i, r) in queue_rows.iter().enumerate() {
-        let comma = if i + 1 < queue_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"backend\": \"{}\", \"workload\": \"{}\", \"depth\": {}, \"ops\": {}, \
-             \"seconds\": {:.9}, \"mops_per_sec\": {:.3}}}{comma}",
-            r.backend,
-            r.workload,
-            r.depth,
-            r.ops,
-            r.seconds,
-            r.mops()
-        );
-    }
-    let _ = writeln!(out, "  ],");
     let _ = writeln!(out, "  \"wide_vs_scalar\": {{");
     let _ = writeln!(out, "    \"bit_identical\": true,");
     let _ = writeln!(out, "    \"sweeps\": [");
@@ -788,23 +690,7 @@ fn main() {
         None => None,
     };
 
-    let (depths, reps, graph_count): (&[usize], usize, usize) = if quick {
-        (&[256, 4096], 2, 16)
-    } else {
-        (&[64, 1024, 16384, 131072], 5, 64)
-    };
-
-    eprintln!("measuring queue backends ({} depths)...", depths.len());
-    let queue_rows = measure_queues(depths, reps);
-    for r in &queue_rows {
-        eprintln!(
-            "  {:<12} {:<9} depth {:>7}: {:>9.3} Mops/s",
-            r.backend,
-            r.workload,
-            r.depth,
-            r.mops()
-        );
-    }
+    let (reps, graph_count) = if quick { (2, 16) } else { (5, 64) };
 
     eprintln!("measuring wide vs scalar border simulations...");
     let wide_rows = measure_wide_vs_scalar(reps);
@@ -916,7 +802,6 @@ fn main() {
 
     let report = json_report(
         quick,
-        &queue_rows,
         graphs.len(),
         seq_seconds,
         &batch_rows,

@@ -1,60 +1,16 @@
 //! Shared kernel-benchmark workloads.
 //!
 //! Both `benches/kernel.rs` (the Criterion suite) and the `bench`
-//! binary (which writes `BENCH_kernel.json`) drive the queue backends
-//! through these exact loops, so the interactive numbers and the
-//! tracked JSON measure the same workload by construction — tuning the
-//! distribution here changes both, never one.
+//! binary (which writes `BENCH_kernel.json`) drive the kernel through
+//! these exact graphs and edit scripts, so the interactive numbers and
+//! the tracked JSON measure the same workload by construction — tuning
+//! a workload here changes both, never one.
 
 use tsg_core::analysis::initiated::SimArena;
 use tsg_core::analysis::session::{DelayEdit, GraphEdit};
 use tsg_core::analysis::wide::WideArena;
 use tsg_core::analysis::{CycleTimeAnalysis, KernelBackend, ScenarioSet};
 use tsg_core::{ArcId, EventId, SignalGraph};
-use tsg_sim::{EventQueue, QueueBackend};
-
-/// Upper bound of [`delay`]'s distribution; the calendar backend under
-/// test is tuned with `CalendarQueue::with_delay_bound(DELAY_BOUND)`.
-pub const DELAY_BOUND: f64 = 8.25;
-
-/// Deterministic bounded delays: a low-discrepancy scramble uniform in
-/// `[0.25, DELAY_BOUND)`, the continuous shape gate libraries produce.
-pub fn delay(i: u64) -> f64 {
-    let scrambled = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
-    0.25 + scrambled as f64 / (1u64 << 53) as f64 * 8.0
-}
-
-/// Bulk workload: `depth` pushes, then a full drain.
-///
-/// Returns the number of queue operations performed (for throughput
-/// math and as a `black_box`-able result).
-pub fn push_pop<B: QueueBackend<u64>>(mut q: EventQueue<u64, B>, depth: usize) -> usize {
-    for i in 0..depth as u64 {
-        q.schedule(delay(i), i);
-    }
-    let mut pops = 0usize;
-    while q.pop().is_some() {
-        pops += 1;
-    }
-    assert_eq!(pops, depth);
-    2 * depth
-}
-
-/// Hold workload: steady depth, pop one / push one a bounded delay
-/// ahead — the access pattern every simulator in the workspace
-/// generates.
-///
-/// Returns the number of queue operations performed.
-pub fn hold<B: QueueBackend<u64>>(mut q: EventQueue<u64, B>, depth: usize, ops: usize) -> usize {
-    for i in 0..depth as u64 {
-        q.schedule(delay(i), i);
-    }
-    for i in 0..ops as u64 {
-        let ev = q.pop().expect("steady-state queue never drains");
-        q.schedule(ev.time + delay(i), ev.payload);
-    }
-    depth + 2 * ops
-}
 
 /// Label of the edit-loop workload — a ring whose 16 tokens sit far
 /// apart, so delay edits have real token distance to exploit.
@@ -363,20 +319,6 @@ pub fn structural_edit_script(sg: &SignalGraph, count: usize) -> Vec<Vec<GraphEd
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsg_sim::CalendarQueue;
-
-    #[test]
-    fn workloads_report_operation_counts() {
-        assert_eq!(push_pop(EventQueue::new(), 100), 200);
-        assert_eq!(hold(EventQueue::new(), 50, 200), 450);
-        assert_eq!(
-            push_pop(
-                EventQueue::with_backend(CalendarQueue::with_delay_bound(DELAY_BOUND)),
-                100
-            ),
-            200
-        );
-    }
 
     #[test]
     fn structural_script_matches_between_session_and_scratch() {
@@ -397,16 +339,5 @@ mod tests {
         }
         // Splits added one fresh event per even-indexed batch.
         assert_eq!(scratch.event_count(), 16 + 5);
-    }
-
-    #[test]
-    fn delay_is_bounded_and_continuous() {
-        let mut distinct = std::collections::HashSet::new();
-        for i in 0..1000 {
-            let d = delay(i);
-            assert!((0.25..DELAY_BOUND).contains(&d), "{d}");
-            distinct.insert(d.to_bits());
-        }
-        assert!(distinct.len() > 900, "{} distinct values", distinct.len());
     }
 }

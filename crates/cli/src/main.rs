@@ -34,9 +34,8 @@ USAGE:
                      [--corners min,typ,max] [--derate PCT]
                      [--samples K] [--seed S]
     tsg sim FILE.g... [--periods N] [--vcd PATH] [--default-delay X]
-                      [--threads N] [--queue {heap|calendar}]
+                      [--threads N]
     tsg sim FILE.ckt... [--horizon X] [--vcd PATH] [--threads N]
-                        [--queue {heap|calendar}]
     tsg explore FILE [--edit SRC->DST=DELAY]... [--default-delay X]
                      [--kernel {auto|portable|sse2|avx2}]
                      [--report {text|json}]
@@ -63,7 +62,7 @@ FILE formats (by extension):
 
 `sim` runs the shared tsg-sim event kernel and prints the transition
 stream; `--vcd PATH` additionally dumps a waveform any VCD viewer opens.
-`--queue` selects the kernel queue backend (default: heap). Several
+A `.g` run may size at most 2^20 occurrences (periods x events). Several
 files fan out across a `--threads N` pool (default: all cores); the
 analysis itself also runs its b border simulations on that pool, in
 lockstep lane chunks of the SIMD-friendly wide kernel.
@@ -320,10 +319,6 @@ fn run(args: &[String]) -> Result<String, String> {
                     "--threads" => {
                         i += 1;
                         threads = Some(parse_threads(args, i)?);
-                    }
-                    "--queue" => {
-                        i += 1;
-                        opts.queue = args.get(i).ok_or("--queue needs a backend name")?.parse()?;
                     }
                     other => return Err(format!("unknown flag {other:?}")),
                 }
@@ -874,7 +869,6 @@ fn serve(opts: &ServeOptions, listen: Option<&str>) -> Result<String, String> {
                 eprintln!("tsg serve: listening on tcp {local} ({pool} worker thread(s))");
                 tsg_serve::serve_tcp(listener, opts, Some(shutdown), None)
             }
-            #[cfg(unix)]
             Some(("unix", path)) => {
                 // A previous non-graceful exit (kill -9, double Ctrl-C)
                 // leaves the socket file behind; unbound stale files must
@@ -957,7 +951,6 @@ fn ping(
             let clone = stream.try_clone().map_err(|e| e.to_string())?;
             (Box::new(BufReader::new(clone)), Box::new(stream))
         }
-        #[cfg(unix)]
         Some(("unix", path)) => {
             let stream = std::os::unix::net::UnixStream::connect(path)
                 .map_err(|e| format!("connecting unix {path}: {e}"))?;
@@ -1580,16 +1573,17 @@ mod tests {
     }
 
     #[test]
-    fn sim_queue_backend_selection_is_observable_and_identical() {
+    fn sim_rejects_the_queue_flag_and_over_budget_periods() {
         let dir = std::env::temp_dir().join("tsg-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("queue-osc.g");
         std::fs::write(&path, tsg_stg::EXAMPLE_OSCILLATOR).unwrap();
         let p = path.to_string_lossy().into_owned();
-        let heap = run(&["sim".into(), p.clone(), "--queue".into(), "heap".into()]).unwrap();
-        let cal = run(&["sim".into(), p.clone(), "--queue".into(), "calendar".into()]).unwrap();
-        assert_eq!(heap, cal, "backends must produce identical transcripts");
-        assert!(run(&["sim".into(), p, "--queue".into(), "splay".into()]).is_err());
+        let err = run(&["sim".into(), p.clone(), "--queue".into(), "heap".into()]).unwrap_err();
+        assert!(err.contains("unknown flag \"--queue\""), "{err}");
+        let err = run(&["sim".into(), p, "--periods".into(), "4294967295".into()]).unwrap_err();
+        assert!(err.contains("simulation too large"), "{err}");
+        assert!(err.contains("4294967295 period(s)"), "{err}");
     }
 
     #[test]

@@ -118,10 +118,10 @@ fn mixed_50_request_script_is_in_order_and_byte_identical() {
         ),
         (
             format!(
-                r#""cmd":"sim","path":{},"horizon":400,"queue":"calendar""#,
+                r#""cmd":"sim","path":{},"horizon":400"#,
                 Json::from(osc_ckt.as_str()).dump()
             ),
-            vec!["sim", &osc_ckt, "--horizon", "400", "--queue", "calendar"],
+            vec!["sim", &osc_ckt, "--horizon", "400"],
         ),
         (
             format!(

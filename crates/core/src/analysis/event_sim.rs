@@ -15,9 +15,7 @@
 //! sources), and it feeds the long-run estimator in `tsg-baselines`
 //! through the same kernel as the gate-level netlist simulator.
 
-use tsg_sim::{
-    AnyQueue, CancelKind, CancelToken, EventQueue, QueueCheckpoint, QueueKind, TraceRecorder,
-};
+use tsg_sim::{CancelKind, CancelToken, EventQueue, QueueCheckpoint, TraceRecorder};
 
 use crate::event::{EventId, Polarity};
 use crate::graph::SignalGraph;
@@ -62,30 +60,22 @@ struct Token {
 /// Reusable scratch state of [`EventSimulation::run_in`]: the pending
 /// token queue and the flat expected-token matrix.
 ///
-/// A long-running worker (the `tsg serve` pool) holds one scratch per
-/// queue kind and replays every `sim` request through it; after the
+/// A long-running worker (the `tsg serve` pool) holds one scratch and
+/// replays every `sim` request through it; after the
 /// first request of the largest shape, [`EventSimulation::run_in`]
 /// performs no queue or matrix allocation — `clear` keeps the queue's
 /// capacity and `resize`/`fill` touch existing cells only.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EventSimScratch {
-    queue: EventQueue<Token, AnyQueue<Token>>,
+    queue: EventQueue<Token>,
     /// Flat `periods × n` count of still-expected tokens per slot.
     remaining: Vec<u32>,
 }
 
 impl EventSimScratch {
-    /// An empty scratch running on the given queue backend.
-    pub fn new(kind: QueueKind) -> Self {
-        EventSimScratch {
-            queue: EventQueue::with_backend(AnyQueue::of(kind)),
-            remaining: Vec::new(),
-        }
-    }
-
-    /// The queue backend this scratch runs simulations on.
-    pub fn kind(&self) -> QueueKind {
-        self.queue.backend().kind()
+    /// An empty scratch.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Pending-event capacity of the warm queue (for the warm-pool
@@ -139,35 +129,21 @@ pub struct EventSimulation {
 }
 
 impl EventSimulation {
-    /// Runs the event-driven timing simulation over `periods` periods on
-    /// the default binary-heap queue backend.
+    /// Runs the event-driven timing simulation over `periods` periods.
     ///
     /// # Panics
     ///
     /// Panics if `periods == 0`.
     pub fn run(sg: &SignalGraph, periods: u32) -> Self {
-        Self::run_on(sg, periods, QueueKind::Heap)
-    }
-
-    /// Runs the simulation on the chosen kernel queue backend.
-    ///
-    /// All backends pop bit-identical streams, so the result is the same
-    /// whatever the choice — which backend is *faster* depends on the
-    /// delay distribution; `benches/kernel.rs` measures it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `periods == 0`.
-    pub fn run_on(sg: &SignalGraph, periods: u32, queue: QueueKind) -> Self {
-        Self::run_in(sg, periods, &mut EventSimScratch::new(queue))
+        Self::run_in(sg, periods, &mut EventSimScratch::new())
     }
 
     /// Allocation-reusing core: runs the simulation over `scratch`'s
     /// warm queue and token matrix.
     ///
-    /// Bit-identical to [`EventSimulation::run_on`] with `scratch`'s
-    /// queue kind — `clear` resets the queue's clock and sequence
-    /// counter, so a reused queue replays exactly like a fresh one.
+    /// Bit-identical to [`EventSimulation::run`] — `clear` resets the
+    /// queue's clock and sequence counter, so a reused queue replays
+    /// exactly like a fresh one.
     ///
     /// # Panics
     ///
@@ -205,9 +181,8 @@ impl EventSimulation {
     /// the partial matrices, as a [`PausedEventSim`].
     ///
     /// [`PausedEventSim::resume`] completes the run — bit-identical to
-    /// an uninterrupted [`EventSimulation::run_in`], even when the
-    /// resuming scratch uses a *different* queue backend (a
-    /// [`QueueCheckpoint`] is storage-independent).
+    /// an uninterrupted [`EventSimulation::run_in`], on this scratch or
+    /// any other (a [`QueueCheckpoint`] owns its pending set).
     ///
     /// # Panics
     ///
@@ -359,7 +334,7 @@ fn prime(sg: &SignalGraph, periods: u32, scratch: &mut EventSimScratch) -> Vec<V
 /// Records a firing and schedules the tokens of its successors.
 fn fire(
     sg: &SignalGraph,
-    queue: &mut EventQueue<Token, AnyQueue<Token>>,
+    queue: &mut EventQueue<Token>,
     times: &mut [Vec<f64>],
     e: EventId,
     p: usize,
@@ -396,7 +371,7 @@ fn fire(
 #[inline]
 fn arrive(
     sg: &SignalGraph,
-    queue: &mut EventQueue<Token, AnyQueue<Token>>,
+    queue: &mut EventQueue<Token>,
     remaining: &mut [u32],
     times: &mut [Vec<f64>],
     ev: tsg_sim::Event<Token>,
@@ -417,12 +392,10 @@ fn arrive(
 }
 
 /// Pops (and propagates) queued tokens — all of them, or only those at
-/// or before `pause_at`. The unpaused path pops directly: a peek on the
-/// calendar backend costs the same forward scan as the pop itself, so
-/// peeking is reserved for the pausing path that needs it.
+/// or before `pause_at`. Only the pausing path peeks before it pops.
 fn drain(
     sg: &SignalGraph,
-    queue: &mut EventQueue<Token, AnyQueue<Token>>,
+    queue: &mut EventQueue<Token>,
     remaining: &mut [u32],
     times: &mut [Vec<f64>],
     pause_at: Option<f64>,
@@ -465,9 +438,9 @@ fn drain(
 /// plus the partial token and time matrices, produced by
 /// [`EventSimulation::run_until`].
 ///
-/// The checkpoint carries no queue-backend type, so a pause taken while
-/// simulating on one backend resumes on any other — the restart
-/// machinery a dirty-region re-simulation builds on.
+/// The checkpoint owns its queue snapshot and matrices, so a pause taken
+/// on one scratch resumes on any other — the restart machinery a
+/// dirty-region re-simulation builds on.
 #[derive(Clone, Debug)]
 pub struct PausedEventSim {
     queue: QueueCheckpoint<Token>,
@@ -489,7 +462,7 @@ impl PausedEventSim {
     }
 
     /// Completes the simulation from the checkpoint on `scratch` —
-    /// which may run a different queue backend than the paused run.
+    /// which need not be the scratch the paused run used.
     ///
     /// The result is bit-identical to an uninterrupted
     /// [`EventSimulation::run_in`] over the same graph and period count.
@@ -611,23 +584,20 @@ mod tests {
     #[test]
     fn run_in_reuses_scratch_and_matches_cold_runs() {
         let sg = figure2();
-        for kind in [QueueKind::Heap, QueueKind::Calendar] {
-            let mut scratch = EventSimScratch::new(kind);
-            assert_eq!(scratch.kind(), kind);
-            let cold = EventSimulation::run_on(&sg, 4, kind);
-            let first = EventSimulation::run_in(&sg, 4, &mut scratch);
-            let caps = (scratch.queue_capacity(), scratch.matrix_capacity());
-            let second = EventSimulation::run_in(&sg, 4, &mut scratch);
-            assert_eq!(
-                caps,
-                (scratch.queue_capacity(), scratch.matrix_capacity()),
-                "warm re-run must not regrow the scratch"
-            );
-            for e in sg.events() {
-                for p in 0..4 {
-                    assert_eq!(cold.time(e, p), first.time(e, p), "{}_{p}", sg.label(e));
-                    assert_eq!(cold.time(e, p), second.time(e, p), "{}_{p}", sg.label(e));
-                }
+        let mut scratch = EventSimScratch::new();
+        let cold = EventSimulation::run(&sg, 4);
+        let first = EventSimulation::run_in(&sg, 4, &mut scratch);
+        let caps = (scratch.queue_capacity(), scratch.matrix_capacity());
+        let second = EventSimulation::run_in(&sg, 4, &mut scratch);
+        assert_eq!(
+            caps,
+            (scratch.queue_capacity(), scratch.matrix_capacity()),
+            "warm re-run must not regrow the scratch"
+        );
+        for e in sg.events() {
+            for p in 0..4 {
+                assert_eq!(cold.time(e, p), first.time(e, p), "{}_{p}", sg.label(e));
+                assert_eq!(cold.time(e, p), second.time(e, p), "{}_{p}", sg.label(e));
             }
         }
     }
@@ -637,7 +607,7 @@ mod tests {
         // A big run followed by a small one over the same scratch: no
         // stale tokens or counts may leak into the smaller shape.
         let sg = figure2();
-        let mut scratch = EventSimScratch::new(QueueKind::Heap);
+        let mut scratch = EventSimScratch::new();
         let _ = EventSimulation::run_in(&sg, 8, &mut scratch);
         let warm = EventSimulation::run_in(&sg, 2, &mut scratch);
         let cold = EventSimulation::run(&sg, 2);
@@ -653,37 +623,35 @@ mod tests {
         let sg = figure2();
         let straight = EventSimulation::run(&sg, 4);
         for pause_at in [0.0, 1.0, 5.5, 10.0, 25.0, 1000.0] {
-            for kind in [QueueKind::Heap, QueueKind::Calendar] {
-                let mut scratch = EventSimScratch::new(kind);
-                let paused = EventSimulation::run_until(&sg, 4, &mut scratch, pause_at);
-                let resumed = paused.resume(&sg, &mut scratch);
-                for e in sg.events() {
-                    for p in 0..4 {
-                        assert_eq!(
-                            straight.time(e, p).map(f64::to_bits),
-                            resumed.time(e, p).map(f64::to_bits),
-                            "pause_at={pause_at} kind={kind:?} {}_{p}",
-                            sg.label(e)
-                        );
-                    }
+            let mut scratch = EventSimScratch::new();
+            let paused = EventSimulation::run_until(&sg, 4, &mut scratch, pause_at);
+            let resumed = paused.resume(&sg, &mut scratch);
+            for e in sg.events() {
+                for p in 0..4 {
+                    assert_eq!(
+                        straight.time(e, p).map(f64::to_bits),
+                        resumed.time(e, p).map(f64::to_bits),
+                        "pause_at={pause_at} {}_{p}",
+                        sg.label(e)
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn pause_resumes_across_queue_backends() {
-        // A checkpoint is storage-independent: pause on the heap, resume
-        // on the calendar (and vice versa), same bits out. The same
-        // pause also replays more than once.
+    fn pause_resumes_on_any_scratch_and_replays() {
+        // A checkpoint owns its state: pause on one scratch, resume on a
+        // fresh one or the pausing one, same bits out. The same pause
+        // also replays more than once.
         let sg = figure2();
         let straight = EventSimulation::run(&sg, 3);
-        let mut heap = EventSimScratch::new(QueueKind::Heap);
-        let mut cal = EventSimScratch::new(QueueKind::Calendar);
-        let paused = EventSimulation::run_until(&sg, 3, &mut heap, 7.0);
+        let mut pausing = EventSimScratch::new();
+        let mut fresh = EventSimScratch::new();
+        let paused = EventSimulation::run_until(&sg, 3, &mut pausing, 7.0);
         assert!(paused.time() <= 7.0);
         assert!(paused.pending() > 0);
-        for scratch in [&mut cal, &mut heap] {
+        for scratch in [&mut fresh, &mut pausing] {
             for _ in 0..2 {
                 let resumed = paused.resume(&sg, scratch);
                 for e in sg.events() {
@@ -698,7 +666,7 @@ mod tests {
     #[test]
     fn pause_beyond_the_horizon_is_already_complete() {
         let sg = figure2();
-        let mut scratch = EventSimScratch::new(QueueKind::Heap);
+        let mut scratch = EventSimScratch::new();
         let paused = EventSimulation::run_until(&sg, 2, &mut scratch, f64::MAX);
         assert_eq!(paused.pending(), 0);
         let resumed = paused.resume(&sg, &mut scratch);
@@ -711,7 +679,7 @@ mod tests {
     #[test]
     fn cancelled_drain_reports_progress_and_a_rerun_succeeds() {
         let sg = figure2();
-        let mut scratch = EventSimScratch::new(QueueKind::Heap);
+        let mut scratch = EventSimScratch::new();
         let token = CancelToken::cancel_after_checks(0);
         let err =
             EventSimulation::run_in_with_cancel(&sg, 4, &mut scratch, Some(&token)).unwrap_err();
@@ -729,18 +697,6 @@ mod tests {
                     "{}_{p}",
                     sg.label(e)
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn calendar_backend_gives_identical_times() {
-        let sg = figure2();
-        let heap = EventSimulation::run_on(&sg, 4, QueueKind::Heap);
-        let calendar = EventSimulation::run_on(&sg, 4, QueueKind::Calendar);
-        for e in sg.events() {
-            for p in 0..4 {
-                assert_eq!(heap.time(e, p), calendar.time(e, p), "{}_{p}", sg.label(e));
             }
         }
     }

@@ -23,12 +23,11 @@
 //!   counters surfaced by the `stats` request;
 //! * transports — stdin/stdout ([`serve`]), TCP ([`serve_tcp`]) and Unix
 //!   sockets ([`serve_unix`]); socket connections all share the one
-//!   pool. On Unix they are multiplexed by the [`reactor`] readiness
-//!   event loop — one thread, `poll(2)`, nonblocking sockets, bounded
-//!   per-connection buffers — so thousands of idle, half-open or
-//!   dribbling clients cost buffers, not threads, and the worker pool
-//!   stays available for well-behaved requests. Elsewhere the
-//!   historical thread-per-connection loop is retained.
+//!   pool and are multiplexed by the `reactor` readiness event loop —
+//!   one thread, `poll(2)`, nonblocking sockets, bounded per-connection
+//!   buffers — so thousands of idle, half-open or dribbling clients cost
+//!   buffers, not threads, and the worker pool stays available for
+//!   well-behaved requests. The crate is Unix-only.
 //!
 //! [`AnalysisSession`]: tsg_core::analysis::session::AnalysisSession
 //!
@@ -62,37 +61,28 @@
 //! assert!(lines[1].contains(r#""served":1"#));
 //! ```
 
-use std::io;
 #[cfg(not(unix))]
-use std::io::BufReader;
+compile_error!("tsg-serve needs a Unix platform (poll(2) event loop)");
+
+use std::io;
 use std::net::TcpListener;
-#[cfg(unix)]
 use std::os::unix::net::UnixListener;
 use std::sync::atomic::{AtomicBool, Ordering};
-#[cfg(not(unix))]
-use std::sync::Arc;
-#[cfg(not(unix))]
-use std::time::Duration;
 
 pub mod chaos;
 pub mod json;
 pub mod ops;
 pub mod pool;
 pub mod protocol;
-#[cfg(unix)]
 mod reactor;
 
 pub use chaos::ChaosConfig;
 pub use pool::{serve, Pool, ServeOptions, ServeStats};
 
-/// How often the socket accept loops poll the shutdown flag.
-#[cfg(not(unix))]
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
-
 /// Serves protocol sessions over TCP: all connections share **one**
 /// warm worker [`Pool`] (returned stats are the pool's aggregate
-/// counters). On Unix the connections are multiplexed by the readiness
-/// event loop — thousands of concurrent clients on one thread, bounded
+/// counters). The connections are multiplexed by the readiness event
+/// loop — thousands of concurrent clients on one thread, bounded
 /// buffers per connection, `opts.max_connections` capping the live set.
 ///
 /// The loop exits when `shutdown` is raised or, if `accept_budget` is
@@ -106,7 +96,6 @@ const ACCEPT_POLL: Duration = Duration::from_millis(25);
 ///
 /// Returns listener-level I/O errors (binding problems surface in the
 /// caller; accept errors other than would-block are fatal).
-#[cfg(unix)]
 pub fn serve_tcp(
     listener: TcpListener,
     opts: &ServeOptions,
@@ -125,52 +114,12 @@ pub fn serve_tcp(
     Ok(pool.stats())
 }
 
-/// Serves protocol sessions over TCP — the thread-per-connection
-/// fallback for platforms without the `poll(2)` readiness loop.
-///
-/// # Errors
-///
-/// Returns listener-level I/O errors.
-#[cfg(not(unix))]
-pub fn serve_tcp(
-    listener: TcpListener,
-    opts: &ServeOptions,
-    shutdown: Option<&AtomicBool>,
-    accept_budget: Option<u64>,
-) -> io::Result<ServeStats> {
-    listener.set_nonblocking(true)?;
-    accept_loop(
-        shutdown,
-        accept_budget,
-        opts,
-        move |pool, flag| match listener.accept() {
-            Ok((stream, peer)) => {
-                stream.set_nonblocking(false)?;
-                // A stalled or vanished client trips these timeouts; the
-                // session counts it and ends cleanly instead of holding
-                // the connection forever.
-                stream.set_read_timeout(opts.io_timeout)?;
-                stream.set_write_timeout(opts.io_timeout)?;
-                let reader = BufReader::new(stream.try_clone()?);
-                Ok(Some(std::thread::spawn(move || {
-                    if let Err(e) = pool.serve_session(reader, stream, Some(flag.as_ref())) {
-                        eprintln!("tsg serve: connection {peer}: {e}");
-                    }
-                })))
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
-        },
-    )
-}
-
 /// Serves protocol sessions over a Unix socket — same multiplexed
 /// shared-pool loop as [`serve_tcp`].
 ///
 /// # Errors
 ///
 /// Returns listener-level I/O errors.
-#[cfg(unix)]
 pub fn serve_unix(
     listener: UnixListener,
     opts: &ServeOptions,
@@ -189,79 +138,24 @@ pub fn serve_unix(
     Ok(pool.stats())
 }
 
-/// The shared accept loop of the thread-per-connection fallback: polls
-/// `accept` (a non-blocking accept attempt returning a spawned
-/// connection thread, `None` on would-block), mirrors the caller's
-/// shutdown flag into one the `'static` connection threads can watch,
-/// and drains every connection before reporting the pool's aggregate
-/// stats.
-#[cfg(not(unix))]
-fn accept_loop<F>(
-    shutdown: Option<&AtomicBool>,
-    max_connections: Option<u64>,
-    opts: &ServeOptions,
-    mut accept: F,
-) -> io::Result<ServeStats>
-where
-    F: FnMut(Arc<Pool>, Arc<AtomicBool>) -> io::Result<Option<std::thread::JoinHandle<()>>>,
-{
-    let pool = Arc::new(Pool::new(opts));
-    // Connection threads need a `'static` flag; the loop below mirrors
-    // the caller's borrowed one into this owned bridge every poll.
-    let bridge = Arc::new(AtomicBool::new(false));
-    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    let mut accepted = 0u64;
-    let result = loop {
-        if max_connections.is_some_and(|max| accepted >= max) {
-            break Ok(());
-        }
-        if shutdown.is_some_and(|flag| flag.load(Ordering::SeqCst)) {
-            bridge.store(true, Ordering::SeqCst);
-            break Ok(());
-        }
-        match accept(Arc::clone(&pool), Arc::clone(&bridge)) {
-            Ok(Some(handle)) => {
-                connections.push(handle);
-                accepted += 1;
-            }
-            Ok(None) => {
-                // Reap finished connections so a long-lived listener
-                // does not accumulate joined-out handles.
-                connections.retain(|h| !h.is_finished());
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) => break Err(e),
-        }
-    };
-    for handle in connections {
-        let _ = handle.join();
-    }
-    result.map(|()| pool.stats())
-}
-
 /// Installs a SIGINT handler that raises (and returns) a global
 /// shutdown flag instead of killing the process: in-flight requests
 /// finish and responses flush before the serve loop exits. A second
 /// Ctrl-C restores the default disposition, so it kills as usual.
-///
-/// On non-Unix platforms this returns a flag nothing ever raises.
 pub fn install_sigint_flag() -> &'static AtomicBool {
     static TRIGGERED: AtomicBool = AtomicBool::new(false);
-    #[cfg(unix)]
-    {
-        const SIGINT: i32 = 2;
-        const SIG_DFL: usize = 0;
-        extern "C" {
-            fn signal(signum: i32, handler: usize) -> usize;
-        }
-        extern "C" fn on_sigint(_: i32) {
-            TRIGGERED.store(true, Ordering::SeqCst);
-            // Graceful once: a second Ctrl-C gets the default (kill)
-            // behaviour back. `signal` is async-signal-safe.
-            unsafe { signal(SIGINT, SIG_DFL) };
-        }
-        unsafe { signal(SIGINT, on_sigint as *const () as usize) };
+    const SIGINT: i32 = 2;
+    const SIG_DFL: usize = 0;
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
     }
+    extern "C" fn on_sigint(_: i32) {
+        TRIGGERED.store(true, Ordering::SeqCst);
+        // Graceful once: a second Ctrl-C gets the default (kill)
+        // behaviour back. `signal` is async-signal-safe.
+        unsafe { signal(SIGINT, SIG_DFL) };
+    }
+    unsafe { signal(SIGINT, on_sigint as *const () as usize) };
     &TRIGGERED
 }
 

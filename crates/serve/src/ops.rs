@@ -15,7 +15,7 @@
 //!   and pre-sized event queues — through
 //!   [`Workspace::analyze`] / [`Workspace::simulate`], which are
 //!   bit-identical to the cold paths (`CycleTimeAnalysis::run_in` ≡
-//!   `run_parallel`, `EventSimulation::run_in` ≡ `run_on`; both
+//!   `run_parallel`, `EventSimulation::run_in` ≡ `run`; both
 //!   equivalences are asserted in the workspace tests).
 
 use std::borrow::Cow;
@@ -31,7 +31,13 @@ use tsg_core::analysis::sim::TimingSimulation;
 use tsg_core::analysis::wide::{AnalysisArena, KernelBackend};
 use tsg_core::analysis::{AnalysisError, Corner, CycleTimeAnalysis, ScenarioAnalysis, ScenarioSet};
 use tsg_core::{ArcId, EventId, SignalGraph};
-use tsg_sim::{BatchRunner, CancelKind, CancelToken, QueueKind, TraceRecorder};
+use tsg_sim::{BatchRunner, CancelKind, CancelToken, TraceRecorder};
+
+/// Most occurrence slots (`periods × events`) one `.g` simulation may
+/// size. The expected-token and time matrices are allocated before the
+/// first cancel poll, so this budget — not a deadline — is what keeps a
+/// huge `periods` from aborting the process on allocation failure.
+pub const SIM_OCCURRENCE_BUDGET: u64 = 1 << 20;
 
 /// Error of a workspace operation: either a plain user-facing message
 /// (rendered exactly as before this type existed) or a structured
@@ -50,6 +56,15 @@ pub enum OpError {
         /// sims, where the full count is not known up front).
         total: u64,
     },
+    /// A `.g` simulation would size more than
+    /// [`SIM_OCCURRENCE_BUDGET`] occurrence slots; refused before any
+    /// allocation.
+    OverBudget {
+        /// Requested periods.
+        periods: u32,
+        /// Events of the graph.
+        events: usize,
+    },
 }
 
 impl From<String> for OpError {
@@ -65,6 +80,11 @@ impl fmt::Display for OpError {
             OpError::Cancelled { kind, done, total } => {
                 write!(f, "{kind} after {done} of {total} work unit(s)")
             }
+            OpError::OverBudget { periods, events } => write!(
+                f,
+                "simulation too large: {periods} period(s) x {events} event(s) exceeds the \
+                 limit of {SIM_OCCURRENCE_BUDGET} occurrences (periods x events)"
+            ),
         }
     }
 }
@@ -483,8 +503,6 @@ pub struct SimOptions {
     pub vcd: Option<String>,
     /// Delay for unannotated arcs (`.g` inputs only).
     pub default_delay: Option<f64>,
-    /// Kernel queue backend to run on.
-    pub queue: QueueKind,
 }
 
 /// Parses `text` as the format `file`'s extension names and returns the
@@ -1075,16 +1093,8 @@ pub fn optimize_session(
     }
 }
 
-/// Index of a [`QueueKind`] into the per-kind warm-state slots.
-fn kind_slot(kind: QueueKind) -> usize {
-    match kind {
-        QueueKind::Heap => 0,
-        QueueKind::Calendar => 1,
-    }
-}
-
 /// A serve worker's persistent scratch state: the warm arena and the
-/// per-backend event queues every request executes on.
+/// event queues every request executes on.
 ///
 /// After the first request of each shape ("warm-up"), replaying a
 /// request of the same or smaller shape performs no arena or queue
@@ -1093,8 +1103,8 @@ fn kind_slot(kind: QueueKind) -> usize {
 #[derive(Debug, Default)]
 pub struct Workspace {
     arena: AnalysisArena,
-    graph: [Option<EventSimScratch>; 2],
-    netlist: [Option<tsg_circuit::SimQueue>; 2],
+    graph: Option<EventSimScratch>,
+    netlist: Option<tsg_circuit::SimQueue>,
     /// Open incremental sessions, keyed `"{conn}/{name}"` — the
     /// dispatcher pins every request naming one session to one worker,
     /// so a session's whole life happens inside a single workspace.
@@ -1128,20 +1138,16 @@ impl Workspace {
         self.arena.capacity()
     }
 
-    /// Capacity of the warm signal-graph simulation queue for `kind`
-    /// (`None` until a `.g` sim request warmed it).
-    pub fn graph_queue_capacity(&self, kind: QueueKind) -> Option<usize> {
-        self.graph[kind_slot(kind)]
-            .as_ref()
-            .map(EventSimScratch::queue_capacity)
+    /// Capacity of the warm signal-graph simulation queue (`None` until
+    /// a `.g` sim request warmed it).
+    pub fn graph_queue_capacity(&self) -> Option<usize> {
+        self.graph.as_ref().map(EventSimScratch::queue_capacity)
     }
 
-    /// Capacity of the warm netlist simulation queue for `kind` (`None`
-    /// until a `.ckt` sim request warmed it).
-    pub fn netlist_queue_capacity(&self, kind: QueueKind) -> Option<usize> {
-        self.netlist[kind_slot(kind)]
-            .as_ref()
-            .map(tsg_circuit::SimQueue::capacity)
+    /// Capacity of the warm netlist simulation queue (`None` until a
+    /// `.ckt` sim request warmed it).
+    pub fn netlist_queue_capacity(&self) -> Option<usize> {
+        self.netlist.as_ref().map(tsg_circuit::SimQueue::capacity)
     }
 
     /// `tsg analyze` on the warm arena. Byte-identical to the one-shot
@@ -1416,16 +1422,14 @@ impl Workspace {
         before - self.sessions.len()
     }
 
-    /// Gate-level event-driven simulation on the warm per-kind queue.
+    /// Gate-level event-driven simulation on the warm queue.
     fn simulate_netlist(
         &mut self,
         nl: &tsg_circuit::Netlist,
         opts: &SimOptions,
     ) -> Result<String, String> {
         let horizon = opts.horizon.unwrap_or(100.0);
-        let queue = self.netlist[kind_slot(opts.queue)]
-            .take()
-            .unwrap_or_else(|| tsg_circuit::SimQueue::new(opts.queue));
+        let queue = self.netlist.take().unwrap_or_default();
         let mut sim = tsg_circuit::EventDrivenSim::with_reused_queue(nl, queue);
         if opts.vcd.is_some() {
             sim.enable_trace();
@@ -1434,7 +1438,7 @@ impl Workspace {
         let recorder = sim.take_trace();
         // Reclaim the queue before any early return: error isolation must
         // not leak the warm allocation.
-        self.netlist[kind_slot(opts.queue)] = Some(sim.into_queue());
+        self.netlist = Some(sim.into_queue());
         let trace = run.map_err(|e| format!("simulation failed: {e}"))?;
         let mut out = String::new();
         let _ = writeln!(
@@ -1458,7 +1462,7 @@ impl Workspace {
         Ok(out)
     }
 
-    /// Signal-graph event simulation on the warm per-kind scratch.
+    /// Signal-graph event simulation on the warm scratch.
     fn simulate_graph(
         &mut self,
         sg: &SignalGraph,
@@ -1466,8 +1470,11 @@ impl Workspace {
         cancel: Option<&CancelToken>,
     ) -> Result<String, OpError> {
         let periods = opts.periods.unwrap_or(4);
-        let scratch = self.graph[kind_slot(opts.queue)]
-            .get_or_insert_with(|| EventSimScratch::new(opts.queue));
+        let events = sg.event_count();
+        if u64::from(periods) * events as u64 > SIM_OCCURRENCE_BUDGET {
+            return Err(OpError::OverBudget { periods, events });
+        }
+        let scratch = self.graph.get_or_insert_with(EventSimScratch::new);
         let sim =
             EventSimulation::run_in_with_cancel(sg, periods, scratch, cancel).map_err(|c| {
                 OpError::Cancelled {

@@ -75,7 +75,7 @@ use tsg_sim::{BatchRunner, CancelKind, CancelToken};
 
 use crate::chaos::{Chaos, ChaosConfig};
 use crate::json::Json;
-use crate::ops::{AnalyzeOptions, Objective, OpError, Source, Workspace};
+use crate::ops::{AnalyzeOptions, Objective, OpError, Source, Workspace, SIM_OCCURRENCE_BUDGET};
 use crate::protocol::{self, Command, Request};
 
 /// How often the session loop re-checks the shutdown flag while waiting
@@ -214,7 +214,6 @@ pub(crate) enum Reply {
     /// The readiness event loop: `(conn, seq, line)` routed back to the
     /// connection's state machine, plus a wake callback so the loop's
     /// `poll` returns and packs the response immediately.
-    #[cfg_attr(not(unix), allow(dead_code))]
     Reactor {
         conn: u64,
         tx: mpsc::Sender<(u64, u64, String)>,
@@ -1068,6 +1067,19 @@ fn handle(
                 code,
                 &format!("{kind} after {done} of {total} work unit(s)"),
                 &[("done", Json::from(done)), ("total", Json::from(total))],
+            )
+        }
+        Err(e @ OpError::OverBudget { periods, events }) => {
+            shared.failed.fetch_add(1, Ordering::SeqCst);
+            protocol::coded_err_response(
+                &id,
+                "over_budget",
+                &e.to_string(),
+                &[
+                    ("periods", Json::from(u64::from(periods))),
+                    ("events", Json::from(events as u64)),
+                    ("limit", Json::from(SIM_OCCURRENCE_BUDGET)),
+                ],
             )
         }
     };

@@ -85,7 +85,6 @@ use crate::ops::{AnalyzeOptions, EditOp, EditSpec, Objective, SimOptions, Source
 use crate::pool::ServeStats;
 use tsg_core::analysis::wide::KernelBackend;
 use tsg_core::analysis::Corner;
-use tsg_sim::QueueKind;
 
 /// A parsed request body.
 #[derive(Clone, Debug)]
@@ -225,7 +224,6 @@ pub fn parse_request(line: &str) -> Result<Request, (Json, String)> {
             "periods",
             "horizon",
             "default_delay",
-            "queue",
             "deadline_ms",
         ],
         "batch" => &[
@@ -619,13 +617,6 @@ fn sim_opts(doc: &Json) -> Result<SimOptions, String> {
             None => None,
             Some(v) => Some(v.as_f64().ok_or("\"default_delay\" must be a number")?),
         },
-        queue: match doc.get("queue") {
-            None => QueueKind::Heap,
-            Some(v) => v
-                .as_str()
-                .ok_or("\"queue\" must be a string".to_owned())
-                .and_then(|s| s.parse::<QueueKind>())?,
-        },
     })
 }
 
@@ -752,9 +743,9 @@ pub fn err_response(id: &Json, error: &str) -> String {
 
 /// A *structured* failure response: `code` is the machine-readable
 /// category a client branches on (`"deadline_exceeded"`, `"cancelled"`,
-/// `"overloaded"`, `"request_too_large"`), `error` the human-facing
-/// message, and `detail` extra fields (progress counts, queue depth,
-/// retry hints) appended verbatim.
+/// `"overloaded"`, `"request_too_large"`, `"over_budget"`), `error` the
+/// human-facing message, and `detail` extra fields (progress counts,
+/// queue depth, retry hints, budget limits) appended verbatim.
 pub fn coded_err_response(id: &Json, code: &str, error: &str, detail: &[(&str, Json)]) -> String {
     let mut fields = vec![
         ("id".to_owned(), id.clone()),
@@ -920,18 +911,15 @@ mod tests {
         assert_eq!(source.name(), "m.g");
         assert_eq!(source.read().unwrap(), ".model m");
         assert_eq!(opts.periods, Some(3));
-        assert_eq!(opts.queue, QueueKind::Heap);
     }
 
     #[test]
-    fn parses_queue_kind_and_rejects_unknown() {
-        let r = parse_request(r#"{"cmd":"sim","path":"c.ckt","queue":"calendar"}"#).unwrap();
-        let Command::Sim { opts, .. } = r.cmd else {
-            panic!("wrong cmd");
-        };
-        assert_eq!(opts.queue, QueueKind::Calendar);
-        let (_, e) = parse_request(r#"{"cmd":"sim","path":"c.ckt","queue":"splay"}"#).unwrap_err();
-        assert!(e.contains("unknown queue backend"), "{e}");
+    fn rejects_the_queue_field_as_unknown() {
+        for queue in ["heap", "calendar"] {
+            let line = format!(r#"{{"cmd":"sim","path":"c.ckt","queue":"{queue}"}}"#);
+            let (_, e) = parse_request(&line).unwrap_err();
+            assert!(e.contains("unknown field \"queue\" for cmd \"sim\""), "{e}");
+        }
     }
 
     #[test]

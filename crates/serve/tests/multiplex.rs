@@ -11,8 +11,6 @@
 //! `halfopen`) degrades single connections without taking down the
 //! loop, and every request still reconciles into exactly one counter.
 
-#![cfg(unix)]
-
 use std::io::{BufRead, BufReader, Cursor, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};

@@ -11,7 +11,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use tsg_serve::json::Json;
 use tsg_serve::ops::{self, AnalyzeOptions, SimOptions, Source, Workspace};
 use tsg_serve::{serve, serve_tcp, ServeOptions};
-use tsg_sim::QueueKind;
 
 /// One request line from `(key, value)` fields.
 fn req(fields: &[(&str, Json)]) -> String {
@@ -84,36 +83,101 @@ fn warm_analyze_is_allocation_free_and_byte_identical() {
 }
 
 #[test]
-fn warm_sim_queues_stay_put_per_backend() {
+fn warm_sim_queues_stay_put() {
     let mut ws = Workspace::new();
-    for kind in [QueueKind::Heap, QueueKind::Calendar] {
-        let g_opts = SimOptions {
-            periods: Some(3),
-            queue: kind,
-            ..SimOptions::default()
-        };
-        let c_opts = SimOptions {
-            horizon: Some(400.0),
-            queue: kind,
-            ..SimOptions::default()
-        };
-        let g_cold = Workspace::new()
-            .simulate(&inline_g(), &g_opts, None)
-            .unwrap();
-        let c_cold = Workspace::new()
-            .simulate(&inline_ckt(), &c_opts, None)
-            .unwrap();
+    let g_opts = SimOptions {
+        periods: Some(3),
+        ..SimOptions::default()
+    };
+    let c_opts = SimOptions {
+        horizon: Some(400.0),
+        ..SimOptions::default()
+    };
+    let g_cold = Workspace::new()
+        .simulate(&inline_g(), &g_opts, None)
+        .unwrap();
+    let c_cold = Workspace::new()
+        .simulate(&inline_ckt(), &c_opts, None)
+        .unwrap();
+    assert_eq!(ws.simulate(&inline_g(), &g_opts, None).unwrap(), g_cold);
+    assert_eq!(ws.simulate(&inline_ckt(), &c_opts, None).unwrap(), c_cold);
+    let g_cap = ws.graph_queue_capacity().expect("warmed");
+    let c_cap = ws.netlist_queue_capacity().expect("warmed");
+    for _ in 0..3 {
         assert_eq!(ws.simulate(&inline_g(), &g_opts, None).unwrap(), g_cold);
         assert_eq!(ws.simulate(&inline_ckt(), &c_opts, None).unwrap(), c_cold);
-        let g_cap = ws.graph_queue_capacity(kind).expect("warmed");
-        let c_cap = ws.netlist_queue_capacity(kind).expect("warmed");
-        for _ in 0..3 {
-            assert_eq!(ws.simulate(&inline_g(), &g_opts, None).unwrap(), g_cold);
-            assert_eq!(ws.simulate(&inline_ckt(), &c_opts, None).unwrap(), c_cold);
-            assert_eq!(ws.graph_queue_capacity(kind), Some(g_cap));
-            assert_eq!(ws.netlist_queue_capacity(kind), Some(c_cap));
-        }
+        assert_eq!(ws.graph_queue_capacity(), Some(g_cap));
+        assert_eq!(ws.netlist_queue_capacity(), Some(c_cap));
     }
+}
+
+#[test]
+fn huge_periods_sim_fails_fast_and_the_workspace_keeps_serving() {
+    // `periods × events` is bounded before the token and time matrices
+    // are sized: a u32::MAX period count is refused up front instead of
+    // asking the allocator for tens of gigabytes.
+    let mut ws = Workspace::new();
+    let huge = SimOptions {
+        periods: Some(u32::MAX),
+        ..SimOptions::default()
+    };
+    let err = ws
+        .simulate(&inline_g(), &huge, None)
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("simulation too large"), "{err}");
+    assert!(err.contains(&format!("{} period(s)", u32::MAX)), "{err}");
+    assert!(
+        err.contains(&ops::SIM_OCCURRENCE_BUDGET.to_string()),
+        "{err}"
+    );
+    assert_eq!(ws.graph_queue_capacity(), None, "refused before any sizing");
+    let opts = SimOptions {
+        periods: Some(3),
+        ..SimOptions::default()
+    };
+    let cold = Workspace::new().simulate(&inline_g(), &opts, None).unwrap();
+    assert_eq!(ws.simulate(&inline_g(), &opts, None).unwrap(), cold);
+
+    // Served, the refusal is a coded response carrying the numbers, and
+    // the pool answers the next request normally.
+    let script = [
+        req(&[
+            ("id", Json::Num(1.0)),
+            ("cmd", Json::from("sim")),
+            ("text", Json::from(tsg_stg::EXAMPLE_OSCILLATOR)),
+            ("name", Json::from("osc.g")),
+            ("periods", Json::Num(f64::from(u32::MAX))),
+        ]),
+        req(&[
+            ("id", Json::Num(2.0)),
+            ("cmd", Json::from("sim")),
+            ("text", Json::from(tsg_stg::EXAMPLE_OSCILLATOR)),
+            ("name", Json::from("osc.g")),
+            ("periods", Json::Num(3.0)),
+        ]),
+    ]
+    .join("\n");
+    let lines = session(&script, 1);
+    assert_eq!(lines.len(), 2);
+    assert_eq!(lines[0].get("ok"), Some(&Json::Bool(false)));
+    assert_eq!(
+        lines[0].get("code").and_then(Json::as_str),
+        Some("over_budget")
+    );
+    assert_eq!(
+        lines[0].get("periods").and_then(Json::as_f64),
+        Some(f64::from(u32::MAX))
+    );
+    assert!(lines[0].get("events").and_then(Json::as_f64).unwrap() > 0.0);
+    assert_eq!(
+        lines[0].get("limit").and_then(Json::as_f64),
+        Some(ops::SIM_OCCURRENCE_BUDGET as f64)
+    );
+    assert_eq!(
+        lines[1].get("output").and_then(Json::as_str),
+        Some(cold.as_str())
+    );
 }
 
 #[test]
@@ -132,7 +196,7 @@ fn failed_netlist_run_keeps_the_warm_queue() {
     let err = ws.simulate(&bad, &opts, None).unwrap_err().to_string();
     assert!(err.contains("simulation failed"), "{err}");
     assert!(
-        ws.netlist_queue_capacity(QueueKind::Heap).is_some(),
+        ws.netlist_queue_capacity().is_some(),
         "error isolation must not leak the warm queue"
     );
     // And the workspace still serves good requests afterwards.
@@ -806,7 +870,6 @@ fn tcp_session_round_trips() {
     assert_eq!((stats.served, stats.failed), (1, 0));
 }
 
-#[cfg(unix)]
 #[test]
 fn unix_socket_session_round_trips() {
     use std::os::unix::net::{UnixListener, UnixStream};

@@ -22,8 +22,7 @@
 //!   random live graphs),
 //! * [`graph`] — the underlying directed-graph algorithm substrate,
 //! * [`sim`] — the shared event-simulation kernel: the monotone event
-//!   queue with swappable storage backends (binary heap, calendar
-//!   queue), VCD trace recording, and parallel batch execution that
+//!   queue, VCD trace recording, and parallel batch execution that
 //!   every simulator in the workspace runs on.
 //!
 //! # Quickstart

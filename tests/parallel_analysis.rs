@@ -4,15 +4,15 @@
 //! thread count, any arena reuse pattern, the same bits out as the
 //! sequential `CycleTimeAnalysis::run`. These tests sweep the `tsg_gen`
 //! generator families (including the seeded random live graphs) to pin
-//! that down, plus the two kernel-backed simulators across queue
-//! backends.
+//! that down, plus the kernel-backed event simulation against the
+//! synchronous sweep.
 
 use proptest::prelude::*;
 use tsg::core::analysis::wide::AnalysisArena;
 use tsg::core::analysis::CycleTimeAnalysis;
 use tsg::core::SignalGraph;
 use tsg::gen::{random_live_tsg, ring, torus, RandomTsgConfig};
-use tsg::sim::{BatchRunner, QueueKind};
+use tsg::sim::BatchRunner;
 
 fn assert_bit_identical(a: &CycleTimeAnalysis, b: &CycleTimeAnalysis, ctx: &str) {
     assert_eq!(
@@ -109,17 +109,18 @@ proptest! {
         assert_bit_identical(&seq, &par, "run_parallel");
     }
 
-    /// The kernel event simulation is backend-invariant on random live
-    /// graphs — heap and calendar produce identical occurrence times.
+    /// The kernel event simulation reproduces the period-synchronous
+    /// sweep's occurrence times on random live graphs.
     #[test]
-    fn event_simulation_is_backend_invariant(seed in 0u64..10_000, periods in 1u32..6) {
+    fn event_simulation_matches_the_synchronous_sweep(seed in 0u64..10_000, periods in 1u32..6) {
         use tsg::core::analysis::event_sim::EventSimulation;
+        use tsg::core::analysis::sim::TimingSimulation;
         let sg = random_live_tsg(seed, RandomTsgConfig::default());
-        let heap = EventSimulation::run_on(&sg, periods, QueueKind::Heap);
-        let cal = EventSimulation::run_on(&sg, periods, QueueKind::Calendar);
+        let sync = TimingSimulation::run(&sg, periods);
+        let event = EventSimulation::run(&sg, periods);
         for e in sg.events() {
             for p in 0..periods {
-                prop_assert_eq!(heap.time(e, p), cal.time(e, p));
+                prop_assert_eq!(sync.time(e, p), event.time(e, p));
             }
         }
     }
